@@ -32,14 +32,25 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+def _positive_int(text: str) -> int:
+    """Argument type of every precision and modulus: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _default_precision() -> int:
     value = os.environ.get(ENV_PRECISION)
     if value is None:
         return verification.DEFAULT_PRECISION
     try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"invalid {ENV_PRECISION}: {value!r}")
+        return _positive_int(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"invalid {ENV_PRECISION}: {exc}")
 
 
 def _write(text: str, output: Optional[str]):
@@ -192,8 +203,7 @@ def cmd_sweep(args) -> int:
     args.series = name
     param = _series_param(args)
     spec = verification.CongruenceSpec(
-        "sweep", name, param, args.a, args.b,
-        args.mod if args.mod else None, args.nmax,
+        "sweep", name, param, args.a, args.b, args.mod, args.nmax,
     )
     report = verification.check_congruence(spec, args.precision)
     _write(json.dumps(report.to_dict(), indent=2), args.output)
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, precision_default=None):
-        p.add_argument("--precision", type=int,
+        p.add_argument("--precision", type=_positive_int,
                        default=precision_default or _default_precision())
         p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         p.add_argument("--output", default=None, help="file path or '-' for stdout")
@@ -226,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check identity catalog entries")
     p.add_argument("--list", action="store_true", help="list entries as JSON")
     p.add_argument("--id", default=None)
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=_positive_int, default=None)
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("suite", help="run the full theorem suite")
     p.add_argument("--filter", default=None, help="substring filter on item ids")
-    p.add_argument("--precision", type=int, default=_default_precision())
+    p.add_argument("--precision", type=_positive_int, default=_default_precision())
     p.add_argument("--format", choices=("plain", "json"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_suite)
@@ -242,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("V", "W2"), default="V")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--modulus", type=int, default=5)
+    p.add_argument("--modulus", type=_positive_int, default=5)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cranktable", help="enumerate W2 with the vector crank")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--modulus", type=int, default=7)
+    p.add_argument("--modulus", type=_positive_int, default=7)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=int, default=None,
                    help="modulus; omit to demand exact zeros")
     p.add_argument("--nmax", type=int, default=100)
-    p.add_argument("--precision", type=int, default=_default_precision())
+    p.add_argument("--precision", type=_positive_int, default=_default_precision())
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)
 

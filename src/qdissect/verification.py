@@ -1,23 +1,32 @@
 """The theorem suite: congruence sweeps, equidistribution checks, the
 coefficient relation behind the mod-11 congruence, and negative controls.
 
-Every check emits a machine-readable Report.  A check that would need
-more series coefficients than the run's precision reports "skipped",
-never a false "pass".
+Each check is a ``Check`` record (id, kind, statement, needed precision,
+``checked`` range, item count) with a body that returns None when the
+claim holds, else ``(detail, counterexample)``.  One runner,
+``_run_check``, skips, times and turns every record into a Report: a
+check that would need more series coefficients than the run's precision,
+or that covers no item, reports "skipped", never a false "pass".
+``run_suite`` selects items by id before any of them runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional
 
 from . import combinatorics as comb
 from . import theta
-from .series import QSeries
 
 DEFAULT_PRECISION = 2000
 ENUM_CHECK_LIMIT = 10  # q-degrees up to which enumeration cross-checks run
+
+
+def _family_name(family: str, t: Optional[int]) -> str:
+    return f"V_{t}" if family == "V" else "W2"
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,8 @@ class CongruenceSpec:
             raise ValueError("need step >= 1 and 0 <= offset < step")
         if self.modulus is not None and self.modulus < 2:
             raise ValueError("modulus must be >= 2 (or None for exact zero)")
+        if self.n_max < 0:
+            raise ValueError("n_max must be >= 0")
 
     def statement(self) -> str:
         name = self.series + (f"_{self.param}" if self.param is not None else "")
@@ -61,7 +72,7 @@ class EquidistributionSpec:
     n_max: int
 
     def statement(self) -> str:
-        fam = f"V_{self.t}" if self.family == "V" else "W2"
+        fam = _family_name(self.family, self.t)
         return (
             f"{fam} statistic classes mod {self.statistic_modulus} are equal "
             f"at {self.step}n+{self.offset} for n <= {self.n_max}"
@@ -98,158 +109,104 @@ class Report:
         return out
 
 
-def _timed(report: Report, start: float) -> Report:
+@dataclass(frozen=True)
+class Check:
+    """One suite item as data; ``_run_check`` turns it into a Report."""
+
+    id: str
+    kind: str
+    statement: str
+    needed: int      # series coefficients the body reads; 0 if it reads none
+    checked: str     # the range covered, as reported
+    body: Callable[[], Optional[tuple]]  # None, or (detail, counterexample)
+    items: int = 1   # cases covered; a check of none is skipped
+
+
+def _run_check(check: Check, precision: int = 0) -> Report:
+    """Skip, or run and time, one check; the only place a Report is made."""
+    start = time.perf_counter()
+    report = Report(check.id, check.kind, check.statement, "skipped")
+    if check.items < 1:
+        report.detail = "covers no items"
+    elif check.needed > precision:
+        report.detail = f"needs precision {check.needed}, have {precision}"
+    else:
+        outcome = check.body()
+        report.checked = check.checked
+        report.status = "pass" if outcome is None else "fail"
+        if outcome is not None:
+            report.detail, report.counterexample = outcome
     report.millis = (time.perf_counter() - start) * 1000.0
     return report
 
 
+def _first(counterexamples) -> Optional[tuple]:
+    """The failing outcome for the first of ``counterexamples``, if any."""
+    for counterexample in counterexamples:
+        return "", counterexample
+    return None
+
+
+def _classes(dist: dict, m: int) -> list:
+    """Weighted counts of a statistic distribution by residue mod m."""
+    return [sum(c for s, c in dist.items() if s % m == k) for k in range(m)]
+
+
 def check_congruence(spec: CongruenceSpec, precision: int = DEFAULT_PRECISION) -> Report:
-    start = time.perf_counter()
+    def body():
+        series = theta.build(spec.series, precision, spec.param)
+        for n in range(spec.n_max + 1):
+            value = series[spec.step * n + spec.offset]
+            if value if spec.modulus is None else value % spec.modulus:
+                return "", {"n": n, "index": spec.step * n + spec.offset, "value": value}
+        return None
+
     needed = spec.step * spec.n_max + spec.offset + 1
-    if needed > precision:
-        return _timed(
-            Report(
-                spec.id,
-                "congruence",
-                spec.statement(),
-                "skipped",
-                detail=f"needs precision {needed}, have {precision}",
-            ),
-            start,
-        )
-    series = theta.build(spec.series, precision, spec.param)
-    for n in range(spec.n_max + 1):
-        value = series[spec.step * n + spec.offset]
-        bad = value != 0 if spec.modulus is None else value % spec.modulus != 0
-        if bad:
-            return _timed(
-                Report(
-                    spec.id,
-                    "congruence",
-                    spec.statement(),
-                    "fail",
-                    checked=f"n <= {spec.n_max}",
-                    counterexample={
-                        "n": n,
-                        "index": spec.step * n + spec.offset,
-                        "value": value,
-                    },
-                ),
-                start,
-            )
-    return _timed(
-        Report(spec.id, "congruence", spec.statement(), "pass", checked=f"n <= {spec.n_max}"),
-        start,
-    )
+    return _run_check(Check(spec.id, "congruence", spec.statement(), needed,
+                            f"n <= {spec.n_max}", body, spec.n_max + 1), precision)
 
 
 def check_equidistribution(
     spec: EquidistributionSpec, precision: int = DEFAULT_PRECISION
 ) -> Report:
-    start = time.perf_counter()
     m = spec.statistic_modulus
     needed = spec.step * spec.n_max + spec.offset + 1
-    if needed > precision:
-        return _timed(
-            Report(
-                spec.id,
-                "equidistribution",
-                spec.statement(),
-                "skipped",
-                detail=f"needs precision {needed}, have {precision}",
-            ),
-            start,
-        )
-    # generating-function route, with z-exponents folded mod m
-    gf = comb.series_counts(spec.family, spec.t, needed, z_mod=m)
-    buckets = gf.residue_buckets(m)
-    w_param = spec.t if spec.family == "V" else 2
-    totals = theta.build("w", needed, w_param)
-    for n in range(spec.n_max + 1):
-        idx = spec.step * n + spec.offset
-        values = [b[idx] for b in buckets]
-        if len(set(values)) != 1 or values[0] * m != totals[idx]:
-            return _timed(
-                Report(
-                    spec.id,
-                    "equidistribution",
-                    spec.statement(),
-                    "fail",
-                    checked=f"n <= {spec.n_max}",
-                    counterexample={"n": n, "index": idx, "classes": str(values)},
-                ),
-                start,
-            )
-    # enumeration route on the small degrees of the progression
-    for n in range(spec.n_max + 1):
-        idx = spec.step * n + spec.offset
-        if idx > ENUM_CHECK_LIMIT:
-            break
-        dist = comb.statistic_distribution(spec.family, spec.t, idx)
-        classes = [
-            sum(c for mm, c in dist.items() if mm % m == k) for k in range(m)
-        ]
-        if classes != [b[idx] for b in buckets]:
-            return _timed(
-                Report(
-                    spec.id,
-                    "equidistribution",
-                    spec.statement(),
-                    "fail",
-                    detail="enumeration disagrees with generating function",
-                    counterexample={"index": idx, "classes": str(classes)},
-                ),
-                start,
-            )
-    return _timed(
-        Report(
-            spec.id,
-            "equidistribution",
-            spec.statement(),
-            "pass",
-            checked=f"n <= {spec.n_max} (gf), degrees <= {ENUM_CHECK_LIMIT} (enumeration)",
-        ),
-        start,
-    )
+    indices = [spec.step * n + spec.offset for n in range(spec.n_max + 1)]
+
+    def body():
+        # generating-function route, with z-exponents folded mod m
+        buckets = comb.series_counts(spec.family, spec.t, needed, z_mod=m).residue_buckets(m)
+        totals = theta.build("w", needed, spec.t if spec.family == "V" else 2)
+        for n, idx in enumerate(indices):
+            values = [b[idx] for b in buckets]
+            if len(set(values)) != 1 or values[0] * m != totals[idx]:
+                return "", {"n": n, "index": idx, "classes": str(values)}
+        # enumeration route on the small degrees of the progression
+        for idx in (i for i in indices if i <= ENUM_CHECK_LIMIT):
+            classes = _classes(comb.statistic_distribution(spec.family, spec.t, idx), m)
+            if classes != [b[idx] for b in buckets]:
+                return ("enumeration disagrees with generating function",
+                        {"index": idx, "classes": str(classes)})
+        return None
+
+    checked = f"n <= {spec.n_max} (gf), degrees <= {ENUM_CHECK_LIMIT} (enumeration)"
+    return _run_check(Check(spec.id, "equidistribution", spec.statement(), needed,
+                            checked, body, len(indices)), precision)
 
 
 def check_relation_chl(n_max: int = 150, precision: int = DEFAULT_PRECISION) -> Report:
     """a2(11n + 120) = 11^4 * a2(n/11), with a2(x) = 0 off integers,
     where a2 is the coefficient family of f2^14 / f1^4."""
-    start = time.perf_counter()
+    def body():
+        a2 = theta.build("a2", precision)
+        pairs = ((n, a2[11 * n + 120], 11 ** 4 * a2[n // 11] if n % 11 == 0 else 0)
+                 for n in range(n_max + 1))
+        return _first({"n": n, "left": left, "right": right}
+                      for n, left, right in pairs if left != right)
+
     statement = f"a2(11n+120) = 11^4 a2(n/11) for n <= {n_max}"
-    needed = 11 * n_max + 121
-    if needed > precision:
-        return _timed(
-            Report(
-                "chl-relation",
-                "relation",
-                statement,
-                "skipped",
-                detail=f"needs precision {needed}, have {precision}",
-            ),
-            start,
-        )
-    a2 = theta.build("a2", precision)
-    for n in range(n_max + 1):
-        left = a2[11 * n + 120]
-        right = 11 ** 4 * a2[n // 11] if n % 11 == 0 else 0
-        if left != right:
-            return _timed(
-                Report(
-                    "chl-relation",
-                    "relation",
-                    statement,
-                    "fail",
-                    checked=f"n <= {n_max}",
-                    counterexample={"n": n, "left": left, "right": right},
-                ),
-                start,
-            )
-    return _timed(
-        Report("chl-relation", "relation", statement, "pass", checked=f"n <= {n_max}"),
-        start,
-    )
+    return _run_check(Check("chl-relation", "relation", statement, 11 * n_max + 121,
+                            f"n <= {n_max}", body, n_max + 1), precision)
 
 
 def check_oracle_agreement(
@@ -257,208 +214,137 @@ def check_oracle_agreement(
 ) -> Report:
     """Enumeration distributions vs generating-function z-coefficients,
     plus symmetry, totals, and (for V) nonnegativity."""
-    start = time.perf_counter()
-    fam = f"V_{t}" if family == "V" else "W2"
+    fam = _family_name(family, t)
+
+    def body():
+        gf = comb.series_counts(family, t, n_limit + 1)
+        w = theta.build("w", n_limit + 1, t if family == "V" else 2)
+        if not gf.is_z_symmetric():
+            return "generating function not symmetric under z -> 1/z", None
+        for n in range(n_limit + 1):
+            dist = comb.statistic_distribution(family, t, n)
+            if dist != gf.z_coefficients(n):
+                return "enumeration disagrees with gf", {"n": n}
+            if any(dist.get(-s, 0) != c for s, c in dist.items()):
+                return "distribution not symmetric", {"n": n}
+            if sum(dist.values()) != w[n]:
+                return "total differs from w(n)", {"n": n}
+            if family == "V" and any(c < 0 for c in dist.values()):
+                return "negative weighted count", {"n": n}
+        return None
+
     statement = (
         f"{fam}: enumeration = gf coefficients, symmetric, totals w(n), n <= {n_limit}"
     )
-    gf = comb.series_counts(family, t, n_limit + 1)
-    w = theta.build("w", n_limit + 1, t if family == "V" else 2)
-
-    def failure(detail, ce):
-        return _timed(
-            Report("oracle-" + fam.lower(), "oracle", statement, "fail",
-                   detail=detail, counterexample=ce),
-            start,
-        )
-
-    if not gf.is_z_symmetric():
-        return failure("generating function not symmetric under z -> 1/z", None)
-    for n in range(n_limit + 1):
-        dist = comb.statistic_distribution(family, t, n)
-        if dist != gf.z_coefficients(n):
-            return failure("enumeration disagrees with gf", {"n": n})
-        if any(dist.get(-m, 0) != c for m, c in dist.items()):
-            return failure("distribution not symmetric", {"n": n})
-        if sum(dist.values()) != w[n]:
-            return failure("total differs from w(n)", {"n": n})
-        if family == "V" and any(c < 0 for c in dist.values()):
-            return failure("negative weighted count", {"n": n})
-    return _timed(
-        Report("oracle-" + fam.lower(), "oracle", statement, "pass",
-               checked=f"n <= {n_limit}"),
-        start,
-    )
+    return _run_check(Check("oracle-" + fam.lower(), "oracle", statement, 0,
+                            f"n <= {n_limit}", body, n_limit + 1))
 
 
 def check_table_v4_n3() -> Report:
     """The 28 vectors of V_4 at n = 3 and their weight/multirank multiset."""
-    start = time.perf_counter()
+    def body():
+        vectors = comb.enumerate_vectors("V", 4, 3)
+        dist = comb.statistic_distribution("V", 4, 3)
+        classes = _classes(dist, 5)
+        ok = len(vectors) == 28 and classes == [4] * 5 and sum(dist.values()) == 20
+        return None if ok else ("", {"vectors": len(vectors), "classes": str(classes)})
+
     statement = "V_4 at n=3: 28 vectors, residue classes mod 5 all 4, total 20"
-    vectors = comb.enumerate_vectors("V", 4, 3)
-    dist = comb.statistic_distribution("V", 4, 3)
-    classes = [sum(c for m, c in dist.items() if m % 5 == k) for k in range(5)]
-    ok = (
-        len(vectors) == 28
-        and classes == [4, 4, 4, 4, 4]
-        and sum(dist.values()) == 20
-    )
-    return _timed(
-        Report(
-            "table-v4-n3",
-            "table",
-            statement,
-            "pass" if ok else "fail",
-            counterexample=None if ok else {"vectors": len(vectors), "classes": str(classes)},
-        ),
-        start,
-    )
+    return _run_check(Check("table-v4-n3", "table", statement, 0, "", body))
 
 
-def _check_parity_weighted(precision: int) -> list:
-    """Section-4 style checks on c_t(n), d(n), and p(n)."""
-    reports = []
-
-    # d(n): series coefficient == pentagonal formula, and == parity-weighted
-    # enumeration over W2 for small n
-    start = time.perf_counter()
-    statement = "d(n) matches the pentagonal formula for n <= 200"
-    if precision < 201:
-        reports.append(Report("d-pentagonal", "relation", statement, "skipped",
-                              detail=f"needs precision 201, have {precision}"))
-    else:
+def _check_parity_weighted(precision: int, name_filter: Optional[str] = None) -> list:
+    """Section-4 style checks on c_t(n), d(n), and p(n); only those whose
+    ids match ``name_filter`` run."""
+    def d_pentagonal():
         d = theta.build("d", precision)
-        bad = next(
-            (n for n in range(201) if d[n] != comb.pentagonal_d(n)), None
-        )
-        reports.append(_timed(Report(
-            "d-pentagonal", "relation", statement,
-            "pass" if bad is None else "fail",
-            checked="n <= 200",
-            counterexample=None if bad is None else {"n": bad, "value": d[bad]},
-        ), start))
+        return _first({"n": n, "value": d[n]} for n in range(201)
+                      if d[n] != comb.pentagonal_d(n))
 
-    start = time.perf_counter()
-    statement = "d(n) = parity-weighted count over W2 for n <= 10"
-    if precision < 11:
-        reports.append(Report("d-enumeration", "relation", statement, "skipped",
-                              detail=f"needs precision 11, have {precision}"))
-    else:
+    def d_enumeration():
         d = theta.build("d", precision)
-        bad = next(
-            (
-                n
-                for n in range(11)
-                if d[n] != comb.parity_weighted_enumeration("W2", None, n)
-            ),
-            None,
-        )
-        reports.append(_timed(Report(
-            "d-enumeration", "relation", statement,
-            "pass" if bad is None else "fail",
-            checked="n <= 10",
-            counterexample=None if bad is None else {"n": bad},
-        ), start))
+        return _first({"n": n} for n in range(11)
+                      if d[n] != comb.parity_weighted_enumeration("W2", None, n))
 
-    start = time.perf_counter()
-    statement = "c_4(2k) = p(k) for k <= 100 and c_4(odd) = 0"
-    if precision < 202:
-        reports.append(Report("c4-partition", "relation", statement, "skipped",
-                              detail=f"needs precision 202, have {precision}"))
-    else:
+    def c4_partition():
         c4 = theta.build("c", precision, 4)
-        bad = None
-        for k in range(101):
-            if c4[2 * k] != comb.partition_p(k):
-                bad = 2 * k
-                break
-        if bad is None:
-            bad = next((n for n in range(1, 202, 2) if c4[n] != 0), None)
-        reports.append(_timed(Report(
-            "c4-partition", "relation", statement,
-            "pass" if bad is None else "fail",
-            checked="k <= 100",
-            counterexample=None if bad is None else {"index": bad, "value": c4[bad]},
-        ), start))
+        even = (2 * k for k in range(101) if c4[2 * k] != comb.partition_p(k))
+        odd = (n for n in range(1, 202, 2) if c4[n] != 0)
+        return _first({"index": i, "value": c4[i]} for i in itertools.chain(even, odd))
 
-    start = time.perf_counter()
-    statement = "c_t(n) = parity-weighted count over V_t for t in {1,4}, n <= 8"
-    if precision < 9:
-        reports.append(Report("c-enumeration", "relation", statement, "skipped",
-                              detail=f"needs precision 9, have {precision}"))
-    else:
-        bad = None
-        for t in (1, 4):
-            ct = theta.build("c", precision, t)
-            for n in range(9):
-                if ct[n] != comb.parity_weighted_enumeration("V", t, n):
-                    bad = (t, n)
-                    break
-        reports.append(_timed(Report(
-            "c-enumeration", "relation", statement,
-            "pass" if bad is None else "fail",
-            checked="n <= 8",
-            counterexample=None if bad is None else {"t": bad[0], "n": bad[1]},
-        ), start))
+    def c_enumeration():
+        series = ((t, theta.build("c", precision, t)) for t in (1, 4))
+        return _first({"t": t, "n": n} for t, ct in series for n in range(9)
+                      if ct[n] != comb.parity_weighted_enumeration("V", t, n))
 
-    return reports
+    checks = (
+        Check("d-pentagonal", "relation", "d(n) matches the pentagonal formula for n <= 200",
+              201, "n <= 200", d_pentagonal),
+        Check("d-enumeration", "relation", "d(n) = parity-weighted count over W2 for n <= 10",
+              11, "n <= 10", d_enumeration),
+        Check("c4-partition", "relation", "c_4(2k) = p(k) for k <= 100 and c_4(odd) = 0",
+              202, "k <= 100", c4_partition),
+        Check("c-enumeration", "relation",
+              "c_t(n) = parity-weighted count over V_t for t in {1,4}, n <= 8",
+              9, "n <= 8", c_enumeration),
+    )
+    return [_run_check(c, precision) for c in checks if _matches(c.id, name_filter)]
+
+
+def _identity_check(entry: theta.IdentityEntry) -> Check:
+    def body():
+        r = theta.verify_entry(entry)
+        return None if r.status == "pass" else ("", {
+            "index": r.mismatch_index, "left": r.mismatch_left, "right": r.mismatch_right})
+
+    return Check(f"identity-{entry.id}", "identity", entry.description,
+                 entry.default_precision, f"N = {entry.default_precision}", body)
+
+
+# Congruence families of the suite: for each t, every progression
+# (step, offset, modulus, n_max) holds; modulus None demands exact zeros.
+_CONGRUENCES = (
+    # parity of w_t on odd indices, t even
+    ("w", (2, 4, 6), ((2, 1, 4, 100),)),
+    # 3-dissection corollaries, t divisible by 3
+    ("w", (3, 6), ((3, 1, 4, 100), (3, 2, 9, 100))),
+    # the 24n+23 family
+    ("w", (3,), ((24, 23, 27, 80), (24, 23, 729, 40))),
+    # mod 5 family by residue of t
+    ("w", (5, 10), ((5, 3, 5, 100), (5, 4, 5, 100))),
+    ("w", (1, 6), ((5, 4, 5, 100),)),
+    ("w", (4, 9), ((5, 3, 5, 100),)),
+    # mod 7 and mod 11 for w_2
+    ("w", (2,), ((7, 4, 7, 100), (11, 10, 11, 100))),
+    # 25-power step of the w_4 family (offset 23: the least positive
+    # reciprocal of 12 modulo 25; the mod-5 step is the t=4 sweep above)
+    ("w", (4,), ((25, 23, 25, 40),)),
+    # parity-weighted counts c_t
+    ("c", (5, 10), ((5, 3, None, 100), (5, 4, None, 100))),
+    ("c", (1, 6), ((5, 4, 5, 100),)),
+    ("c", (4, 9), ((5, 3, 5, 100),)),
+    ("c", (4,), ((25, 23, 25, 40),)),
+)
+# negative controls: these progressions carry no claim and must fail
+_CONTROLS = (("w", 2, 7, 3, 7), ("w", 4, 5, 1, 5), ("w", 2, 11, 7, 11))
 
 
 def congruence_catalog() -> list:
     """Every congruence sweep in the suite, negative controls included."""
-    specs = []
-
-    # parity of w_t on odd indices, t even
-    for t in (2, 4, 6):
-        specs.append(CongruenceSpec(f"mod4-w{t}-2n1", "w", t, 2, 1, 4, 100))
-    # 3-dissection corollaries, t divisible by 3
-    for t in (3, 6):
-        specs.append(CongruenceSpec(f"mod4-w{t}-3n1", "w", t, 3, 1, 4, 100))
-        specs.append(CongruenceSpec(f"mod9-w{t}-3n2", "w", t, 3, 2, 9, 100))
-    # the 24n+23 family
-    specs.append(CongruenceSpec("mod27-w3-24n23", "w", 3, 24, 23, 27, 80))
-    specs.append(CongruenceSpec("mod729-w3-24n23", "w", 3, 24, 23, 729, 40))
-    # mod 5 family by residue of t
-    for t in (5, 10):
-        specs.append(CongruenceSpec(f"mod5-w{t}-5n3", "w", t, 5, 3, 5, 100))
-        specs.append(CongruenceSpec(f"mod5-w{t}-5n4", "w", t, 5, 4, 5, 100))
-    for t in (1, 6):
-        specs.append(CongruenceSpec(f"mod5-w{t}-5n4", "w", t, 5, 4, 5, 100))
-    for t in (4, 9):
-        specs.append(CongruenceSpec(f"mod5-w{t}-5n3", "w", t, 5, 3, 5, 100))
-    # mod 7 and mod 11 for w_2
-    specs.append(CongruenceSpec("mod7-w2-7n4", "w", 2, 7, 4, 7, 100))
-    specs.append(CongruenceSpec("mod11-w2-11n10", "w", 2, 11, 10, 11, 100))
-    # 25-power step of the w_4 family (offset 23: the least positive
-    # reciprocal of 12 modulo 25; the mod-5 step is the t=4 sweep above)
-    specs.append(CongruenceSpec("mod25-w4-25n23", "w", 4, 25, 23, 25, 40))
-    # parity-weighted counts c_t
-    for t in (5, 10):
-        specs.append(CongruenceSpec(f"zero-c{t}-5n3", "c", t, 5, 3, None, 100))
-        specs.append(CongruenceSpec(f"zero-c{t}-5n4", "c", t, 5, 4, None, 100))
-    for t in (1, 6):
-        specs.append(CongruenceSpec(f"mod5-c{t}-5n4", "c", t, 5, 4, 5, 100))
-    for t in (4, 9):
-        specs.append(CongruenceSpec(f"mod5-c{t}-5n3", "c", t, 5, 3, 5, 100))
-    specs.append(CongruenceSpec("mod25-c4-25n23", "c", 4, 25, 23, 25, 40))
-    # negative controls: these progressions carry no claim and must fail
-    specs.append(CongruenceSpec("control-w2-7n3", "w", 2, 7, 3, 7, 20, expect="fail"))
-    specs.append(CongruenceSpec("control-w4-5n1", "w", 4, 5, 1, 5, 20, expect="fail"))
-    specs.append(CongruenceSpec("control-w2-11n7", "w", 2, 11, 7, 11, 20, expect="fail"))
-    return specs
+    specs = [CongruenceSpec(f"{'zero' if m is None else f'mod{m}'}-{s}{t}-{a}n{b}",
+                            s, t, a, b, m, n_max)
+             for s, ts, progressions in _CONGRUENCES for t in ts
+             for a, b, m, n_max in progressions]
+    return specs + [CongruenceSpec(f"control-{s}{t}-{a}n{b}", s, t, a, b, m, 20, expect="fail")
+                    for s, t, a, b, m in _CONTROLS]
 
 
 def equidistribution_catalog() -> list:
-    specs = []
-    for t in (1, 6):
-        specs.append(EquidistributionSpec(f"equi-v{t}-5n4", "V", t, 5, 5, 4, 30))
-    for t in (4, 9):
-        specs.append(EquidistributionSpec(f"equi-v{t}-5n3", "V", t, 5, 5, 3, 30))
-    for t in (5, 10):
-        specs.append(EquidistributionSpec(f"equi-v{t}-5n3", "V", t, 5, 5, 3, 30))
-        specs.append(EquidistributionSpec(f"equi-v{t}-5n4", "V", t, 5, 5, 4, 30))
-    specs.append(EquidistributionSpec("equi-w2-7n4", "W2", None, 7, 7, 4, 10))
-    return specs
+    # V_t classes mod 5 on the progressions 5n+b of the mod-5 congruences
+    specs = [EquidistributionSpec(f"equi-v{t}-5n{b}", "V", t, 5, 5, b, 30)
+             for ts, offsets in (((1, 6), (4,)), ((4, 9), (3,)), ((5, 10), (3, 4)))
+             for t in ts for b in offsets]
+    return specs + [EquidistributionSpec("equi-w2-7n4", "W2", None, 7, 7, 4, 10)]
 
 
 def _apply_expectation(report: Report, expect: str) -> Report:
@@ -473,49 +359,35 @@ def _apply_expectation(report: Report, expect: str) -> Report:
     return report
 
 
+def _matches(item_id: str, name_filter: Optional[str]) -> bool:
+    return not name_filter or name_filter in item_id
+
+
 def run_suite(
     precision: int = DEFAULT_PRECISION,
     name_filter: Optional[str] = None,
     enum_limit: int = ENUM_CHECK_LIMIT,
 ) -> list:
-    """Run every suite item; one report per item, in a stable order."""
-    reports = []
-
-    for entry in theta.catalog():
-        if entry.default_precision > precision:
-            reports.append(Report(
-                f"identity-{entry.id}", "identity", entry.description, "skipped",
-                detail=f"needs precision {entry.default_precision}, have {precision}",
-            ))
-            continue
-        r = theta.verify_entry(entry)
-        reports.append(Report(
-            f"identity-{entry.id}", "identity", entry.description, r.status,
-            checked=f"N = {r.precision}",
-            counterexample=None if r.status == "pass" else {
-                "index": r.mismatch_index,
-                "left": r.mismatch_left,
-                "right": r.mismatch_right,
-            },
-            millis=r.millis,
-        ))
-
-    for spec in congruence_catalog():
-        reports.append(_apply_expectation(check_congruence(spec, precision), spec.expect))
-
-    for espec in equidistribution_catalog():
-        reports.append(check_equidistribution(espec, precision))
-
-    reports.append(check_relation_chl(150, precision))
-    reports.append(check_table_v4_n3())
-
-    for family, t in (("V", 1), ("V", 2), ("V", 4), ("V", 5), ("W2", None)):
-        reports.append(check_oracle_agreement(family, t, enum_limit))
-
-    reports.extend(_check_parity_weighted(precision))
-
-    if name_filter:
-        reports = [r for r in reports if name_filter in r.id]
+    """Run every suite item whose id contains ``name_filter`` (all items
+    if it is empty); one report per item, in a stable order.  Items are
+    selected before any of them runs; a filter that selects none is a
+    ValueError."""
+    items = [(c.id, partial(_run_check, c, precision), "pass")
+             for c in map(_identity_check, theta.catalog())]
+    items += [(s.id, partial(check_congruence, s, precision), s.expect)
+              for s in congruence_catalog()]
+    items += [(s.id, partial(check_equidistribution, s, precision), "pass")
+              for s in equidistribution_catalog()]
+    items.append(("chl-relation", partial(check_relation_chl, 150, precision), "pass"))
+    items.append(("table-v4-n3", check_table_v4_n3, "pass"))
+    items += [("oracle-" + _family_name(f, t).lower(),
+               partial(check_oracle_agreement, f, t, enum_limit), "pass")
+              for f, t in (("V", 1), ("V", 2), ("V", 4), ("V", 5), ("W2", None))]
+    reports = [_apply_expectation(run(), expect)
+               for item_id, run, expect in items if _matches(item_id, name_filter)]
+    reports += _check_parity_weighted(precision, name_filter)
+    if not reports:
+        raise ValueError(f"no suite item matches {name_filter!r}")
     return reports
 
 

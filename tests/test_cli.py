@@ -12,6 +12,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a run rejected by argparse or by ``main``."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 class TestExpand:
     def test_plain_output(self, capsys):
         code, out, _ = run(capsys, "expand", "--series", "w_t", "--t", "4",
@@ -55,6 +64,13 @@ class TestExpand:
         assert out == ""
         assert path.read_text() == "0: 1\n1: 0\n2: -1"
 
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    def test_nonpositive_precision_is_usage_error(self, capsys, precision):
+        code, err = usage_error(capsys, "expand", "--series", "p",
+                                "--precision", precision)
+        assert code == 2
+        assert "positive integer" in err
+
     def test_reruns_are_byte_identical(self, capsys):
         _, first, _ = run(capsys, "expand", "--series", "psi", "--precision", "50")
         _, second, _ = run(capsys, "expand", "--series", "psi", "--precision", "50")
@@ -74,6 +90,13 @@ class TestVerify:
                            "--precision", "60")
         assert code == 0
         assert "3dis-psi: pass" in out
+
+    @pytest.mark.parametrize("precision", ["0", "-3"])
+    def test_nonpositive_precision_is_usage_error(self, capsys, precision):
+        code, err = usage_error(capsys, "verify", "--id", "3dis-psi",
+                                "--precision", precision)
+        assert code == 2
+        assert "positive integer" in err
 
     def test_unknown_id_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--id", "nope")
@@ -95,6 +118,20 @@ class TestSuite:
         assert code == 0
         assert out.strip()
         assert all(line.startswith("mod5") for line in out.strip().splitlines())
+
+
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    def test_nonpositive_precision_is_usage_error(self, capsys, precision):
+        code, err = usage_error(capsys, "suite", "--precision", precision)
+        assert code == 2
+        assert "positive integer" in err
+
+    def test_filter_matching_nothing_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "suite", "--precision", "10",
+                             "--filter", "none-such")
+        assert code == 2
+        assert out == ""
+        assert "no suite item matches 'none-such'" in err
 
 
 class TestTables:
@@ -129,6 +166,17 @@ class TestTables:
         assert {-2, -1, 1, 2} <= set(stats)
 
 
+    @pytest.mark.parametrize("argv", [
+        ("ranktable", "--family", "V", "--t", "4", "--n", "3", "--modulus", "0"),
+        ("ranktable", "--family", "W2", "--n", "3", "--modulus", "-5"),
+        ("cranktable", "--n", "2", "--modulus", "0"),
+    ])
+    def test_nonpositive_modulus_is_usage_error(self, capsys, argv):
+        code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert "positive integer" in err
+
+
 class TestSweep:
     def test_passing_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--series", "w", "--t", "2",
@@ -161,6 +209,18 @@ class TestSweep:
         assert got == want
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--mod", "0", "--nmax", "5"), "modulus must be >= 2"),
+        (("--mod", "7", "--nmax", "-1"), "n_max must be >= 0"),
+        (("--mod", "7", "--nmax", "5", "--precision", "0"), "positive integer"),
+    ], ids=["mod-0", "nmax-negative", "precision-0"])
+    def test_degenerate_spec_is_usage_error(self, capsys, flags, message):
+        code, err = usage_error(capsys, "sweep", "--series", "w", "--t", "2",
+                                "--a", "7", "--b", "4", *flags)
+        assert code == 2
+        assert message in err
+
+
 class TestEnvironment:
     def test_invalid_env_precision_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_PRECISION, "lots")
@@ -174,3 +234,10 @@ class TestEnvironment:
                            "--a", "7", "--b", "4", "--mod", "7", "--nmax", "100")
         assert code == 0
         assert json.loads(out)["status"] == "skipped"
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_env_precision_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv(cli.ENV_PRECISION, value)
+        code, _, err = run(capsys, "suite", "--filter", "chl")
+        assert code == 2
+        assert cli.ENV_PRECISION in err

@@ -1,5 +1,6 @@
 import pytest
 
+from qdissect import theta, verification
 from qdissect.verification import (
     CongruenceSpec,
     EquidistributionSpec,
@@ -53,6 +54,11 @@ class TestCongruenceChecks:
         with pytest.raises(ValueError):
             CongruenceSpec("t", "w", 2, 7, 4, 1, 10)
 
+    @pytest.mark.parametrize("n_max", [-1, -7])
+    def test_negative_n_max_is_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            CongruenceSpec("t", "w", 2, 7, 4, 7, n_max)
+
     def test_statement_text(self):
         spec = CongruenceSpec("t", "w", 2, 7, 4, 7, 10)
         assert spec.statement() == "w_2(7n+4) == 0 (mod 7) for n <= 10"
@@ -99,6 +105,24 @@ class TestOtherChecks:
     def test_table(self):
         assert check_table_v4_n3().status == "pass"
 
+    @pytest.mark.parametrize("run", [
+        lambda: check_oracle_agreement("V", 1, -1),
+        lambda: check_oracle_agreement("W2", None, -1),
+        lambda: check_equidistribution(EquidistributionSpec("e", "V", 4, 5, 5, 3, -1), 50),
+        lambda: check_relation_chl(-1, 400),
+    ], ids=["oracle-v1", "oracle-w2", "equidistribution", "chl"])
+    def test_zero_item_checks_skip(self, run, monkeypatch):
+        # a check of no items must not pass, and must not even build a series
+        monkeypatch.setattr(theta, "build", None)
+        report = run()
+        assert (report.status, report.detail) == ("skipped", "covers no items")
+        assert report.checked == ""
+
+
+@pytest.fixture(scope="module")
+def unfiltered():
+    return {r.id: r for r in run_suite(precision=220, enum_limit=4)}
+
 
 class TestSuite:
     def test_low_precision_run_never_falsely_passes(self):
@@ -118,6 +142,35 @@ class TestSuite:
         reports = run_suite(precision=10, name_filter="mod5", enum_limit=4)
         assert reports
         assert all("mod5" in r.id for r in reports)
+
+    def test_filter_runs_only_matching_checks(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check outside the filter ran")
+
+        for name in ("check_congruence", "check_equidistribution",
+                     "check_oracle_agreement", "check_table_v4_n3"):
+            monkeypatch.setattr(verification, name, must_not_run)
+        monkeypatch.setattr(theta, "verify_entry", must_not_run)
+        reports = run_suite(2000, name_filter="chl")
+        assert [(r.id, r.status) for r in reports] == [("chl-relation", "pass")]
+
+    @pytest.mark.parametrize("name_filter", [
+        "identity-3dis", "mod5", "control", "equi-v4", "chl", "table", "oracle-w2",
+        "d-", "c4-partition",
+    ])
+    def test_filtered_reports_equal_unfiltered(self, name_filter, unfiltered):
+        def strip(report):
+            out = report.to_dict()
+            del out["millis"]
+            return out
+
+        got = run_suite(precision=220, name_filter=name_filter, enum_limit=4)
+        assert [r.id for r in got] == [i for i in unfiltered if name_filter in i]
+        assert [strip(r) for r in got] == [strip(unfiltered[r.id]) for r in got]
+
+    def test_filter_matching_nothing_is_an_error(self):
+        with pytest.raises(ValueError, match="no suite item matches"):
+            run_suite(precision=10, name_filter="none-such")
 
     def test_unique_ids(self):
         ids = [r.id for r in run_suite(precision=10, enum_limit=4)]
