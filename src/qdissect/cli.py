@@ -6,8 +6,8 @@ sweep custom congruence specs.  All output is machine-readable; big
 integers serialize as decimal strings in JSON so 53-bit consumers
 cannot truncate them.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 internal error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including
+a suite or sweep run that checked nothing), 3 internal error.
 """
 
 from __future__ import annotations
@@ -140,19 +140,28 @@ def cmd_suite(args) -> int:
         _write("\n".join(lines), args.output)
     else:
         _write(json.dumps(payload, indent=2), args.output)
-    return EXIT_VERIFICATION_FAILED if verification.suite_failed(reports) else EXIT_OK
+    return _exit_code(reports, args.precision)
+
+
+def _exit_code(reports: list, precision: int) -> int:
+    """1 if a report failed, else 2 if none passed (all skipped), else 0."""
+    if verification.suite_failed(reports):
+        return EXIT_VERIFICATION_FAILED
+    if not any(r.status == "pass" for r in reports):
+        needed = max(r.needed for r in reports)
+        print(f"error: nothing was checked at precision {precision}; "
+              f"precision {needed} runs every skipped check", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _table(args, family: str) -> int:
     t = args.t if family == "V" else None
     vectors = comb.enumerate_vectors(family, t, args.n, allow_large=args.allow_large)
-    modulus = args.modulus
     dist = {}
     for v in vectors:
         dist[v.statistic] = dist.get(v.statistic, 0) + v.weight
-    summary = [
-        sum(c for m, c in dist.items() if m % modulus == k) for k in range(modulus)
-    ]
+    summary = comb.residue_classes(dist, args.modulus)
     if args.format == "json":
         payload = {
             "family": family,
@@ -207,9 +216,7 @@ def cmd_sweep(args) -> int:
     )
     report = verification.check_congruence(spec, args.precision)
     _write(json.dumps(report.to_dict(), indent=2), args.output)
-    if report.status == "fail":
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_OK
+    return _exit_code([report], args.precision)
 
 
 def build_parser() -> argparse.ArgumentParser:

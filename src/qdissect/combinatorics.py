@@ -124,10 +124,6 @@ def star_crank(obj) -> int:
     return crank(obj)
 
 
-def star_sum(obj) -> int:
-    return 1 if isinstance(obj, TaggedOne) else sum(obj)
-
-
 def star_label(obj) -> str:
     if isinstance(obj, TaggedOne):
         return f"[{obj.label}]"
@@ -226,6 +222,19 @@ def _w_stats(comps):
     return weight, statistic
 
 
+def _walk(family, t, n, rank_coefficient, allow_large):
+    """The family's t, and an iterator of (components, weight, statistic)
+    over all its vector partitions of n."""
+    t = _check_family(family, t)
+    _guard(n, allow_large)
+    if family == "V":
+        classes, stats = _V_CLASSES, lambda comps: _v_stats(comps, rank_coefficient)
+    else:
+        classes, stats = _W_CLASSES, _w_stats
+    tuples = _iter_tuples(classes, (1, 1, 1, 1, 1, t, t), n)
+    return t, ((comps, *stats(comps)) for comps in tuples)
+
+
 def enumerate_vectors(
     family: str,
     t: Optional[int],
@@ -238,18 +247,9 @@ def enumerate_vectors(
     ``rank_coefficient`` generalizes the multirank: any coefficient not
     divisible by 5 on the last component pair works; 2 is the default.
     """
-    t = _check_family(family, t)
-    _guard(n, allow_large)
-    classes = _V_CLASSES if family == "V" else _W_CLASSES
-    scales = (1, 1, 1, 1, 1, t, t)
-    out = []
-    for comps in _iter_tuples(classes, scales, n):
-        if family == "V":
-            weight, statistic = _v_stats(comps, rank_coefficient)
-        else:
-            weight, statistic = _w_stats(comps)
-        out.append(VectorPartition(family, t, comps, weight, statistic, n))
-    return out
+    t, walk = _walk(family, t, n, rank_coefficient, allow_large)
+    return [VectorPartition(family, t, comps, weight, statistic, n)
+            for comps, weight, statistic in walk]
 
 
 def statistic_distribution(
@@ -260,19 +260,16 @@ def statistic_distribution(
     allow_large: bool = False,
 ) -> dict:
     """Weighted counts by statistic value: m -> sum of weights."""
-    t = _check_family(family, t)
-    _guard(n, allow_large)
-    classes = _V_CLASSES if family == "V" else _W_CLASSES
-    scales = (1, 1, 1, 1, 1, t, t)
+    _, walk = _walk(family, t, n, rank_coefficient, allow_large)
     dist: dict = {}
-    stats = _v_stats if family == "V" else _w_stats
-    for comps in _iter_tuples(classes, scales, n):
-        if family == "V":
-            weight, statistic = _v_stats(comps, rank_coefficient)
-        else:
-            weight, statistic = _w_stats(comps)
+    for _, weight, statistic in walk:
         dist[statistic] = dist.get(statistic, 0) + weight
     return {m: c for m, c in dist.items() if c}
+
+
+def residue_classes(dist: dict, m: int) -> list:
+    """Weighted counts of a statistic distribution by residue mod m."""
+    return [sum(c for s, c in dist.items() if s % m == k) for k in range(m)]
 
 
 def weighted_count(

@@ -2,9 +2,9 @@
 
 A ProductSpec is a product of generalized Pochhammer symbols
 (z^zExp q^a; q^b)_inf^e, optionally times a leading monomial
-scalar * z^j q^k.  Expansion to any precision is exact; negative
-exponents go through series inversion (every Pochhammer factor is a
-unit with constant term 1).
+scalar * z^j q^k.  Expansion to any precision is exact; an eta factor
+(q^k; q^k) comes from Euler's pentagonal sum, and negative exponents go
+through series inversion (every factor is a unit with constant term 1).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bivariate import BivariateSeries
-from .series import QSeries, pochhammer_series
+from .series import QSeries, pentagonal_sum, pochhammer_series
 
 
 @dataclass(frozen=True)
@@ -63,36 +63,18 @@ def eta_quotient(powers: dict, scalar: int = 1, q_shift: int = 0) -> ProductSpec
     return ProductSpec(factors, scalar=scalar, q_shift=q_shift)
 
 
-# Pochhammer expansions are pure functions of (offset, step, precision) and
-# get reused at many precisions; cache the longest expansion per symbol and
-# serve prefixes of it (truncations of these products are prefix-stable).
-_POCH_CACHE: dict = {}
-_CACHE_FLOOR = 256
-
-
-def _pochhammer_cached(q_offset: int, q_step: int, precision: int) -> QSeries:
-    key = (q_offset, q_step)
-    cached = _POCH_CACHE.get(key)
-    if cached is None or cached.precision < precision:
-        target = _CACHE_FLOOR
-        while target < precision:
-            target *= 2
-        cached = pochhammer_series(q_offset, q_step, target)
-        _POCH_CACHE[key] = cached
-    return cached.truncate(precision)
-
-
 def expand_univariate(spec: ProductSpec, precision: int) -> QSeries:
     if not spec.is_univariate:
         raise ValueError("spec has z-dependence; use expand_bivariate")
     if precision < 0:
         raise ValueError("precision must be >= 0")
-    if precision == 0:
-        return QSeries(())
     numerator = QSeries.one(precision)
     denominator = QSeries.one(precision)
     for fac in spec.factors:
-        base = _pochhammer_cached(fac.q_offset, fac.q_step, precision)
+        if fac.q_offset == fac.q_step:  # the eta factor f_k
+            base = pentagonal_sum(precision, fac.q_step)
+        else:
+            base = pochhammer_series(fac.q_offset, fac.q_step, precision)
         powered = base.power(abs(fac.exponent))
         if fac.exponent > 0:
             numerator = numerator * powered

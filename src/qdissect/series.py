@@ -151,7 +151,7 @@ class QSeries:
         return QSeries((0,) * j + self.coeffs)
 
     def truncate(self, n: int) -> "QSeries":
-        if n > len(self.coeffs):
+        if not 0 <= n <= len(self.coeffs):
             raise ValueError(
                 f"cannot truncate precision {len(self.coeffs)} series to {n}"
             )
@@ -243,6 +243,21 @@ def equal_upto(
             continue
         return SeriesComparison(False, i, x, y)
     return SeriesComparison(True)
+
+
+def pentagonal_sum(precision: int, k: int = 1) -> QSeries:
+    """f_k = (q^k; q^k)_inf as the signed sum over generalized pentagonal
+    numbers (Euler); the expansion of every eta factor."""
+    out = [0] * precision
+    for j in range(precision + 1):
+        g = k * j * (3 * j - 1) // 2  # the exponent of j; g + k*j is that of -j
+        if g >= precision:
+            break
+        sign = -1 if j % 2 else 1
+        out[g] += sign
+        if j and g + k * j < precision:
+            out[g + k * j] += sign
+    return QSeries(tuple(out))
 
 
 def pochhammer_series(q_offset: int, q_step: int, precision: int) -> QSeries:

@@ -10,12 +10,11 @@ statements they encode.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Optional
 
 from .products import Factor, ProductSpec, eta_quotient, expand_univariate
-from .series import QSeries, equal_upto
+from .series import QSeries, equal_upto, pentagonal_sum  # noqa: F401 (re-export)
 
 
 # ---------------------------------------------------------------------------
@@ -62,36 +61,33 @@ def series_spec(name: str, param: Optional[int] = None) -> ProductSpec:
     raise ValueError(f"unknown series name {name!r}")
 
 
-@lru_cache(maxsize=None)
+# The one cache of series expansions: per (name, param), the longest
+# expansion built so far.  Truncations of a product are prefix-stable, so
+# shorter requests are served its prefix.  The oldest entry goes first once
+# more keys than _BUILD_CACHE_KEYS are held (the full suite uses 21).
+_BUILD_CACHE: dict = {}
+_BUILD_CACHE_KEYS = 64
+
+
 def build(name: str, precision: int, param: Optional[int] = None) -> QSeries:
     """Expand a named series to the requested precision.
 
     Names: f(k), phi, phi_neg, psi, x, w(t), a, a1, a2, c(t), d, p.
     """
-    return expand_univariate(series_spec(name, param), precision)
+    key = (name, param)
+    series = _BUILD_CACHE.get(key)
+    if series is None or series.precision < precision:
+        series = expand_univariate(series_spec(name, param), precision)
+        _BUILD_CACHE.pop(key, None)
+        _BUILD_CACHE[key] = series
+        if len(_BUILD_CACHE) > _BUILD_CACHE_KEYS:
+            del _BUILD_CACHE[next(iter(_BUILD_CACHE))]
+    return series.truncate(precision)
 
 
 # ---------------------------------------------------------------------------
 # closed sum forms (cross-checks for the product forms above)
 # ---------------------------------------------------------------------------
-
-def pentagonal_sum(precision: int, k: int = 1) -> QSeries:
-    """f_k as the signed sum over generalized pentagonal numbers."""
-    out = [0] * precision
-    j = 0
-    while True:
-        g1 = k * j * (3 * j - 1) // 2
-        g2 = k * j * (3 * j + 1) // 2
-        if g1 >= precision and g2 >= precision:
-            break
-        sign = -1 if j % 2 else 1
-        if g1 < precision:
-            out[g1] += sign
-        if j > 0 and g2 < precision:
-            out[g2] += sign
-        j += 1
-    return QSeries(tuple(out))
-
 
 def jacobi_cube_sum(precision: int) -> QSeries:
     """f_1^3 as sum of (-1)^n (2n+1) q^(n(n+1)/2)."""
@@ -262,7 +258,6 @@ class IdentityReport:
     mismatch_index: Optional[int] = None
     mismatch_left: Optional[int] = None
     mismatch_right: Optional[int] = None
-    note: str = ""
     millis: float = 0.0
 
 
@@ -480,21 +475,13 @@ def verify_entry(
     """Evaluate both sides and compare coefficientwise."""
     if precision is None:
         precision = entry.default_precision
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
     start = time.perf_counter()
-    if precision == 0:
-        return IdentityReport(entry.id, "pass", 0, note="vacuous at precision 0")
     lhs = evaluate(entry.lhs, precision)
     rhs = evaluate(entry.rhs, precision)
     cmp = equal_upto(lhs, rhs, precision, modulus=entry.modulus)
     millis = (time.perf_counter() - start) * 1000.0
-    if cmp.equal:
-        return IdentityReport(entry.id, "pass", precision, millis=millis)
-    return IdentityReport(
-        entry.id,
-        "fail",
-        precision,
-        mismatch_index=cmp.index,
-        mismatch_left=cmp.left,
-        mismatch_right=cmp.right,
-        millis=millis,
-    )
+    status = "pass" if cmp.equal else "fail"  # an equal comparison has no mismatch
+    return IdentityReport(entry.id, status, precision, mismatch_index=cmp.index,
+                          mismatch_left=cmp.left, mismatch_right=cmp.right, millis=millis)

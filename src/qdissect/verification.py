@@ -2,11 +2,12 @@
 coefficient relation behind the mod-11 congruence, and negative controls.
 
 Each check is a ``Check`` record (id, kind, statement, needed precision,
-``checked`` range, item count) with a body that returns None when the
-claim holds, else ``(detail, counterexample)``.  One runner,
-``_run_check``, skips, times and turns every record into a Report: a
-check that would need more series coefficients than the run's precision,
-or that covers no item, reports "skipped", never a false "pass".
+``checked`` range, item count) with a body that builds its series at the
+needed precision and returns None when the claim holds, else
+``(detail, counterexample)``.  One runner, ``_run_check``, skips, times
+and turns every record into a Report: a check that would need more
+series coefficients than the run's precision, or that covers no item,
+reports "skipped", never a false "pass".
 ``run_suite`` selects items by id before any of them runs.
 """
 
@@ -89,6 +90,7 @@ class Report:
     detail: str = ""
     counterexample: Optional[dict] = None
     millis: float = 0.0
+    needed: int = 0                  # precision the check needs; not serialized
 
     def to_dict(self) -> dict:
         out = {
@@ -116,22 +118,23 @@ class Check:
     id: str
     kind: str
     statement: str
-    needed: int      # series coefficients the body reads; 0 if it reads none
+    needed: int      # series coefficients the body builds; 0 if it builds none
     checked: str     # the range covered, as reported
-    body: Callable[[], Optional[tuple]]  # None, or (detail, counterexample)
+    body: Callable[[int], Optional[tuple]]  # body(needed): None, or (detail, counterexample)
     items: int = 1   # cases covered; a check of none is skipped
 
 
-def _run_check(check: Check, precision: int = 0) -> Report:
-    """Skip, or run and time, one check; the only place a Report is made."""
+def _run_check(check: Check, precision: Optional[int] = None) -> Report:
+    """Skip, or run and time, one check; the only place a Report is made.
+    ``precision`` None runs the check whatever it needs."""
     start = time.perf_counter()
-    report = Report(check.id, check.kind, check.statement, "skipped")
+    report = Report(check.id, check.kind, check.statement, "skipped", needed=check.needed)
     if check.items < 1:
         report.detail = "covers no items"
-    elif check.needed > precision:
+    elif precision is not None and check.needed > precision:
         report.detail = f"needs precision {check.needed}, have {precision}"
     else:
-        outcome = check.body()
+        outcome = check.body(check.needed)
         report.checked = check.checked
         report.status = "pass" if outcome is None else "fail"
         if outcome is not None:
@@ -147,14 +150,9 @@ def _first(counterexamples) -> Optional[tuple]:
     return None
 
 
-def _classes(dist: dict, m: int) -> list:
-    """Weighted counts of a statistic distribution by residue mod m."""
-    return [sum(c for s, c in dist.items() if s % m == k) for k in range(m)]
-
-
 def check_congruence(spec: CongruenceSpec, precision: int = DEFAULT_PRECISION) -> Report:
-    def body():
-        series = theta.build(spec.series, precision, spec.param)
+    def body(needed):
+        series = theta.build(spec.series, needed, spec.param)
         for n in range(spec.n_max + 1):
             value = series[spec.step * n + spec.offset]
             if value if spec.modulus is None else value % spec.modulus:
@@ -173,7 +171,7 @@ def check_equidistribution(
     needed = spec.step * spec.n_max + spec.offset + 1
     indices = [spec.step * n + spec.offset for n in range(spec.n_max + 1)]
 
-    def body():
+    def body(needed):
         # generating-function route, with z-exponents folded mod m
         buckets = comb.series_counts(spec.family, spec.t, needed, z_mod=m).residue_buckets(m)
         totals = theta.build("w", needed, spec.t if spec.family == "V" else 2)
@@ -183,7 +181,8 @@ def check_equidistribution(
                 return "", {"n": n, "index": idx, "classes": str(values)}
         # enumeration route on the small degrees of the progression
         for idx in (i for i in indices if i <= ENUM_CHECK_LIMIT):
-            classes = _classes(comb.statistic_distribution(spec.family, spec.t, idx), m)
+            dist = comb.statistic_distribution(spec.family, spec.t, idx)
+            classes = comb.residue_classes(dist, m)
             if classes != [b[idx] for b in buckets]:
                 return ("enumeration disagrees with generating function",
                         {"index": idx, "classes": str(classes)})
@@ -197,8 +196,8 @@ def check_equidistribution(
 def check_relation_chl(n_max: int = 150, precision: int = DEFAULT_PRECISION) -> Report:
     """a2(11n + 120) = 11^4 * a2(n/11), with a2(x) = 0 off integers,
     where a2 is the coefficient family of f2^14 / f1^4."""
-    def body():
-        a2 = theta.build("a2", precision)
+    def body(needed):
+        a2 = theta.build("a2", needed)
         pairs = ((n, a2[11 * n + 120], 11 ** 4 * a2[n // 11] if n % 11 == 0 else 0)
                  for n in range(n_max + 1))
         return _first({"n": n, "left": left, "right": right}
@@ -216,9 +215,9 @@ def check_oracle_agreement(
     plus symmetry, totals, and (for V) nonnegativity."""
     fam = _family_name(family, t)
 
-    def body():
-        gf = comb.series_counts(family, t, n_limit + 1)
-        w = theta.build("w", n_limit + 1, t if family == "V" else 2)
+    def body(needed):
+        gf = comb.series_counts(family, t, needed)
+        w = theta.build("w", needed, t if family == "V" else 2)
         if not gf.is_z_symmetric():
             return "generating function not symmetric under z -> 1/z", None
         for n in range(n_limit + 1):
@@ -236,16 +235,16 @@ def check_oracle_agreement(
     statement = (
         f"{fam}: enumeration = gf coefficients, symmetric, totals w(n), n <= {n_limit}"
     )
-    return _run_check(Check("oracle-" + fam.lower(), "oracle", statement, 0,
+    return _run_check(Check("oracle-" + fam.lower(), "oracle", statement, n_limit + 1,
                             f"n <= {n_limit}", body, n_limit + 1))
 
 
 def check_table_v4_n3() -> Report:
     """The 28 vectors of V_4 at n = 3 and their weight/multirank multiset."""
-    def body():
+    def body(_):
         vectors = comb.enumerate_vectors("V", 4, 3)
         dist = comb.statistic_distribution("V", 4, 3)
-        classes = _classes(dist, 5)
+        classes = comb.residue_classes(dist, 5)
         ok = len(vectors) == 28 and classes == [4] * 5 and sum(dist.values()) == 20
         return None if ok else ("", {"vectors": len(vectors), "classes": str(classes)})
 
@@ -256,25 +255,25 @@ def check_table_v4_n3() -> Report:
 def _check_parity_weighted(precision: int, name_filter: Optional[str] = None) -> list:
     """Section-4 style checks on c_t(n), d(n), and p(n); only those whose
     ids match ``name_filter`` run."""
-    def d_pentagonal():
-        d = theta.build("d", precision)
-        return _first({"n": n, "value": d[n]} for n in range(201)
+    def d_pentagonal(needed):
+        d = theta.build("d", needed)
+        return _first({"n": n, "value": d[n]} for n in range(needed)
                       if d[n] != comb.pentagonal_d(n))
 
-    def d_enumeration():
-        d = theta.build("d", precision)
-        return _first({"n": n} for n in range(11)
+    def d_enumeration(needed):
+        d = theta.build("d", needed)
+        return _first({"n": n} for n in range(needed)
                       if d[n] != comb.parity_weighted_enumeration("W2", None, n))
 
-    def c4_partition():
-        c4 = theta.build("c", precision, 4)
-        even = (2 * k for k in range(101) if c4[2 * k] != comb.partition_p(k))
-        odd = (n for n in range(1, 202, 2) if c4[n] != 0)
+    def c4_partition(needed):
+        c4 = theta.build("c", needed, 4)
+        even = (2 * k for k in range(needed // 2) if c4[2 * k] != comb.partition_p(k))
+        odd = (n for n in range(1, needed, 2) if c4[n] != 0)
         return _first({"index": i, "value": c4[i]} for i in itertools.chain(even, odd))
 
-    def c_enumeration():
-        series = ((t, theta.build("c", precision, t)) for t in (1, 4))
-        return _first({"t": t, "n": n} for t, ct in series for n in range(9)
+    def c_enumeration(needed):
+        series = ((t, theta.build("c", needed, t)) for t in (1, 4))
+        return _first({"t": t, "n": n} for t, ct in series for n in range(needed)
                       if ct[n] != comb.parity_weighted_enumeration("V", t, n))
 
     checks = (
@@ -292,8 +291,8 @@ def _check_parity_weighted(precision: int, name_filter: Optional[str] = None) ->
 
 
 def _identity_check(entry: theta.IdentityEntry) -> Check:
-    def body():
-        r = theta.verify_entry(entry)
+    def body(needed):
+        r = theta.verify_entry(entry, needed)
         return None if r.status == "pass" else ("", {
             "index": r.mismatch_index, "left": r.mismatch_left, "right": r.mismatch_right})
 

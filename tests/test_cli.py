@@ -115,7 +115,7 @@ class TestSuite:
     def test_filter_plain(self, capsys):
         code, out, _ = run(capsys, "suite", "--precision", "10",
                            "--filter", "mod5", "--format", "plain")
-        assert code == 0
+        assert code == 2
         assert out.strip()
         assert all(line.startswith("mod5") for line in out.strip().splitlines())
 
@@ -125,6 +125,19 @@ class TestSuite:
         code, err = usage_error(capsys, "suite", "--precision", precision)
         assert code == 2
         assert "positive integer" in err
+
+    @pytest.mark.parametrize("argv, needed", [
+        (("suite", "--filter", "mod5", "--precision", "10", "--format", "json"), 505),
+        (("sweep", "--series", "w", "--t", "1", "--a", "5", "--b", "4", "--mod", "5",
+          "--nmax", "10", "--precision", "20"), 55),
+    ], ids=["suite", "sweep"])
+    def test_run_that_checks_nothing_exits_2(self, capsys, argv, needed):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        reports = json.loads(out)
+        reports = reports if isinstance(reports, list) else [reports]
+        assert {r["status"] for r in reports} == {"skipped"}
+        assert f"precision {needed} runs every skipped check" in err
 
     def test_filter_matching_nothing_is_usage_error(self, capsys):
         code, out, err = run(capsys, "suite", "--precision", "10",
@@ -232,7 +245,7 @@ class TestEnvironment:
         monkeypatch.setenv(cli.ENV_PRECISION, "50")
         code, out, _ = run(capsys, "sweep", "--series", "w", "--t", "2",
                            "--a", "7", "--b", "4", "--mod", "7", "--nmax", "100")
-        assert code == 0
+        assert code == 2
         assert json.loads(out)["status"] == "skipped"
 
     @pytest.mark.parametrize("value", ["0", "-2"])

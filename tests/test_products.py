@@ -1,5 +1,6 @@
 import pytest
 
+from qdissect import theta
 from qdissect.bivariate import BivariateSeries
 from qdissect.products import (
     Factor,
@@ -77,6 +78,17 @@ class TestUnivariateExpansion:
         f2 = pochhammer_series(2, 2, 30)
         want = f2.power(3) * f1.power(-4)
         assert expand_univariate(W2, 30).coeffs == want.coeffs
+
+    @pytest.mark.parametrize("name, param", [(name, None) for name in sorted(theta._FIXED_ETA)]
+                             + [(name, t) for name in ("w", "c") for t in range(1, 11)])
+    def test_named_eta_quotients_match_pochhammer_products(self, name, param):
+        # eta factors are expanded by the pentagonal sum; rebuild each named
+        # quotient from Pochhammer products alone
+        spec = theta.series_spec(name, param)
+        want = QSeries.one(600)
+        for fac in spec.factors:
+            want = want * pochhammer_series(fac.q_offset, fac.q_step, 600).power(fac.exponent)
+        assert expand_univariate(spec, 600).coeffs == want.coeffs
 
 
 class TestBivariateExpansion:

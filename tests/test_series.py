@@ -8,6 +8,7 @@ from qdissect.series import (
     _convolve_packed,
     _convolve_schoolbook,
     equal_upto,
+    pentagonal_sum,
     pochhammer_series,
 )
 
@@ -40,6 +41,11 @@ class TestPochhammer:
             pochhammer_series(2, 2, 20).coeffs
             == base.substitute_power(2).coeffs
         )
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_pentagonal_sum_equals_product(self, k):
+        # the fast route for every eta factor against the product it replaces
+        assert pentagonal_sum(1000, k).coeffs == pochhammer_series(k, k, 1000).coeffs
 
 
 class TestArithmetic:

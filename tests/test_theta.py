@@ -1,7 +1,8 @@
 import pytest
 
 from qdissect import theta
-from qdissect.series import QSeries, equal_upto
+from qdissect.products import expand_univariate
+from qdissect.series import QSeries, equal_upto, pochhammer_series
 from qdissect.theta import (
     Const,
     Dissect,
@@ -62,17 +63,50 @@ class TestNamedSeries:
             build("nope", 5)
 
 
+class TestBuildCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+
+    def fresh(self, name, precision, param=None):
+        return expand_univariate(theta.series_spec(name, param), precision)
+
+    def test_short_request_after_long_is_a_prefix(self):
+        build("w", 120, 3)
+        assert build("w", 50, 3).coeffs == self.fresh("w", 50, 3).coeffs
+        assert theta._BUILD_CACHE[("w", 3)].precision == 120
+
+    def test_long_request_after_short_replaces_the_entry(self):
+        build("c", 40, 4)
+        long = build("c", 90, 4)
+        assert long.coeffs == self.fresh("c", 90, 4).coeffs
+        assert theta._BUILD_CACHE[("c", 4)].coeffs == long.coeffs
+
+    def test_key_cap_evicts_the_oldest(self):
+        cap = theta._BUILD_CACHE_KEYS
+        for k in range(1, cap + 3):
+            build("f", 5, k)
+        assert len(theta._BUILD_CACHE) == cap
+        assert ("f", 1) not in theta._BUILD_CACHE and ("f", 2) not in theta._BUILD_CACHE
+        assert ("f", cap + 2) in theta._BUILD_CACHE
+
+    def test_negative_precision_is_rejected(self):
+        build("p", 10)
+        with pytest.raises(ValueError):
+            build("p", -1)
+
+
 class TestClosedSums:
     def test_dual_forms_agree(self):
         n = 300
-        assert build("f", n, 1).coeffs == pentagonal_sum(n).coeffs
+        assert pochhammer_series(1, 1, n).coeffs == pentagonal_sum(n).coeffs
         assert build("f", n, 1).power(3).coeffs == jacobi_cube_sum(n).coeffs
         assert build("phi", n).coeffs == phi_sum(n).coeffs
         assert build("phi_neg", n).coeffs == phi_neg_sum(n).coeffs
         assert build("psi", n).coeffs == psi_sum(n).coeffs
 
     def test_pentagonal_sum_scaling(self):
-        assert pentagonal_sum(30, k=3).coeffs == build("f", 30, 3).coeffs
+        assert pentagonal_sum(30, k=3).coeffs == pochhammer_series(3, 3, 30).coeffs
 
 
 class TestEvaluator:
@@ -123,10 +157,10 @@ class TestCatalog:
             f"{report.mismatch_left} != {report.mismatch_right}"
         )
 
-    def test_precision_zero_is_vacuous_pass(self):
-        report = verify_entry(catalog_entry("key-identity"), 0)
-        assert report.status == "pass"
-        assert report.note == "vacuous at precision 0"
+    @pytest.mark.parametrize("precision", [0, -1])
+    def test_precision_below_one_is_rejected(self, precision):
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            verify_entry(catalog_entry("key-identity"), precision)
 
     def test_broken_entry_reports_mismatch(self):
         entry = theta.IdentityEntry(

@@ -40,6 +40,19 @@ class TestCongruenceChecks:
         assert report.status == "fail"
         assert report.counterexample == {"n": 0, "index": 0, "value": 1}
 
+    def test_builds_only_the_coefficients_it_reads(self, monkeypatch):
+        calls = []
+        original = theta.build
+
+        def recording(name, precision, param=None):
+            calls.append((name, precision, param))
+            return original(name, precision, param)
+
+        monkeypatch.setattr(theta, "build", recording)
+        spec = CongruenceSpec("t", "w", 1, 5, 4, 5, 10)
+        assert check_congruence(spec, 4000).status == "pass"
+        assert calls == [("w", 55, 1)]
+
     def test_insufficient_precision_skips(self):
         spec = CongruenceSpec("t", "w", 2, 7, 4, 7, 100)
         report = check_congruence(spec, 50)
