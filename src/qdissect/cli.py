@@ -63,26 +63,26 @@ def _write(text: str, output: Optional[str]):
             handle.write(text)
 
 
-def _series_param(args) -> Optional[int]:
-    name = args.series
-    if name == "f":
-        if args.k is None:
-            raise ValueError("series 'f' requires --k")
-        return args.k
-    if name in ("w", "c"):
-        if args.t is None:
-            raise ValueError(f"series {name!r} requires --t")
-        return args.t
-    return None
-
-
 _SERIES_ALIASES = {"w_t": "w", "c_t": "c", "phi-neg": "phi_neg", "f_k": "f"}
 
 
-def cmd_expand(args) -> int:
+def _series(args) -> tuple:
+    """The series name, aliases resolved, and its parameter: --k for f,
+    --t for w and c.  theta.series_spec rejects an unknown name and a
+    parameter that the series does not take."""
     name = _SERIES_ALIASES.get(args.series, args.series)
-    args.series = name
-    param = _series_param(args)
+    flag, other = ("k", "t") if name == "f" else ("t", "k")
+    if getattr(args, other) is not None:
+        raise ValueError(f"series {name!r} takes no --{other}")
+    param = getattr(args, flag)
+    if param is None and name in ("f", "w", "c"):
+        raise ValueError(f"series {name!r} requires --{flag}")
+    theta.series_spec(name, param)
+    return name, param
+
+
+def cmd_expand(args) -> int:
+    name, param = _series(args)
     series = theta.build(name, args.precision, param)
     if args.format == "json":
         payload = {
@@ -155,8 +155,8 @@ def _exit_code(reports: list, precision: int) -> int:
     return EXIT_OK
 
 
-def _table(args, family: str) -> int:
-    t = args.t if family == "V" else None
+def _table(args, family: str, t: Optional[int]) -> int:
+    t = comb.family_t(family, t)
     vectors = comb.enumerate_vectors(family, t, args.n, allow_large=args.allow_large)
     dist = {}
     for v in vectors:
@@ -165,7 +165,7 @@ def _table(args, family: str) -> int:
     if args.format == "json":
         payload = {
             "family": family,
-            "t": t if family == "V" else 2,
+            "t": t,
             "n": args.n,
             "vectors": [
                 {
@@ -184,7 +184,7 @@ def _table(args, family: str) -> int:
         writer = csv.writer(buf)
         writer.writerow(["family", "t", "n", "components", "weight", "statistic"])
         for v in vectors:
-            writer.writerow([family, t if family == "V" else 2, args.n,
+            writer.writerow([family, t, args.n,
                              v.render_components(), v.weight, v.statistic])
         writer.writerow([])
         writer.writerow(["residue", "weighted_count"])
@@ -198,19 +198,15 @@ def _table(args, family: str) -> int:
 def cmd_ranktable(args) -> int:
     if args.family == "V" and args.t is None:
         raise ValueError("family V requires --t")
-    return _table(args, args.family)
+    return _table(args, args.family, args.t)
 
 
 def cmd_cranktable(args) -> int:
-    args.family = "W2"
-    args.t = None
-    return _table(args, "W2")
+    return _table(args, "W2", None)
 
 
 def cmd_sweep(args) -> int:
-    name = _SERIES_ALIASES.get(args.series, args.series)
-    args.series = name
-    param = _series_param(args)
+    name, param = _series(args)
     spec = verification.CongruenceSpec(
         "sweep", name, param, args.a, args.b, args.mod, args.nmax,
     )

@@ -10,57 +10,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .bivariate import BivariateSeries
 from .products import Factor, ProductSpec, expand_bivariate
-from .series import QSeries
 
 # Enumeration refuses larger sizes unless explicitly overridden; vector
 # partition counts explode while the series route has no such limit.
 ENUMERATION_LIMIT = 24
 
-PARTITION_CLASSES = ("P", "O", "DE", "DO", "PSTAR")
-
 
 # ---------------------------------------------------------------------------
-# ordinary partitions and the crank
+# partition classes and the crank
 # ---------------------------------------------------------------------------
 
-def _partitions_bounded(n: int, max_part: int) -> Iterator[tuple]:
+def _partitions(n: int, top: int, parity: Optional[int], distinct: bool) -> Iterator[tuple]:
+    """Partitions of n into parts <= top, largest part first.  Every part
+    is congruent to ``parity`` mod 2 (None: any part); ``distinct`` forbids
+    a repeated part."""
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_bounded(n - first, first):
-            yield (first,) + rest
-
-
-def _distinct_partitions(n: int, max_part: int, parity: int) -> Iterator[tuple]:
-    """Partitions of n into distinct parts congruent to parity mod 2."""
-    if n == 0:
-        yield ()
-        return
-    first = min(n, max_part)
-    if first % 2 != parity:
+    step = 1 if parity is None else 2
+    first = min(n, top)
+    if parity is not None and first % 2 != parity:
         first -= 1
-    while first >= 1:
-        for rest in _distinct_partitions(n - first, first - 2, parity):
-            yield (first,) + rest
-        first -= 2
-
-
-def _odd_partitions(n: int, max_part: int) -> Iterator[tuple]:
-    if n == 0:
-        yield ()
-        return
-    first = min(n, max_part)
-    if first % 2 == 0:
-        first -= 1
-    while first >= 1:
-        for rest in _odd_partitions(n - first, first):
-            yield (first,) + rest
-        first -= 2
+    for part in range(first, 0, -step):
+        for rest in _partitions(n - part, part - step if distinct else part,
+                                parity, distinct):
+            yield (part,) + rest
 
 
 @dataclass(frozen=True)
@@ -74,24 +52,26 @@ class TaggedOne:
 ONE_STAR = TaggedOne(1, "1*")
 ONE_DOUBLE_STAR = TaggedOne(-1, "1**")
 
+# Each partition class: (parity of its parts or None, parts distinct,
+# members added at size 1).
+_CLASS_RULES = {
+    "P": (None, False, ()),
+    "O": (1, False, ()),
+    "DE": (0, True, ()),
+    "DO": (1, True, ()),
+    "PSTAR": (None, False, (ONE_STAR, ONE_DOUBLE_STAR)),
+}
+
 
 @lru_cache(maxsize=None)
 def enumerate_class(n: int, cls: str) -> tuple:
     """All members of a partition class at size n (complete, no duplicates)."""
     if n < 0:
         raise ValueError("partition size must be >= 0")
-    if cls == "P":
-        return tuple(_partitions_bounded(n, n))
-    if cls == "O":
-        return tuple(_odd_partitions(n, n))
-    if cls == "DE":
-        return tuple(_distinct_partitions(n, n, 0))
-    if cls == "DO":
-        return tuple(_distinct_partitions(n, n, 1))
-    if cls == "PSTAR":
-        extra = (ONE_STAR, ONE_DOUBLE_STAR) if n == 1 else ()
-        return tuple(_partitions_bounded(n, n)) + extra
-    raise ValueError(f"unknown partition class {cls!r}")
+    if cls not in _CLASS_RULES:
+        raise ValueError(f"unknown partition class {cls!r}")
+    parity, distinct, extra = _CLASS_RULES[cls]
+    return tuple(_partitions(n, n, parity, distinct)) + (extra if n == 1 else ())
 
 
 def crank(parts: tuple) -> int:
@@ -134,30 +114,55 @@ def star_label(obj) -> str:
 # vector partitions
 # ---------------------------------------------------------------------------
 
-_V_CLASSES = ("DE", "O", "O", "O", "O", "P", "P")
-# Components 2-5 carry odd parts (with repetition): that is the reading
-# under which the componentwise product reproduces the stated crank
+def _unit(member) -> int:
+    return 1
+
+
+def _times_length(h: int) -> Callable:
+    return lambda parts: h * len(parts)
+
+
+# A family is seven component records (class, weight, statistic): each
+# component is a member of its partition class, and a vector's weight is
+# the product, its statistic the sum, of the values its components get
+# from the record's two functions.  These first five are shared by V_t and
+# W_2.  Components 2-5 carry odd parts (with repetition): that is the
+# reading under which the componentwise product reproduces the stated crank
 # generating function f2^3/(zq, 1/z q, z^2 q, 1/z^2 q; q), via
 # (z^e q; q^2)(z^e q^2; q^2) = (z^e q; q).
-_W_CLASSES = ("DE", "O", "O", "O", "O", "PSTAR", "PSTAR")
+_SHARED = (
+    ("DE", lambda parts: -1 if len(parts) % 2 else 1, _times_length(0)),
+    ("O", _unit, _times_length(1)),
+    ("O", _unit, _times_length(-1)),
+    ("O", _unit, _times_length(2)),
+    ("O", _unit, _times_length(-2)),
+)
+
+
+def _components(family: str, rank_coefficient: int) -> tuple:
+    """The seven component records of a family; the size of each of the
+    last two counts t times."""
+    if family == "V":
+        return _SHARED + (("P", _unit, _times_length(rank_coefficient)),
+                          ("P", _unit, _times_length(-rank_coefficient)))
+    return _SHARED + (("PSTAR", star_weight, star_crank),
+                      ("PSTAR", star_weight, lambda obj: 2 * star_crank(obj)))
 
 
 @dataclass(frozen=True)
 class VectorPartition:
     """A 7-component colored partition from V_t or W_2."""
 
-    family: str
-    t: int
     components: tuple
     weight: int
     statistic: int
-    total: int
 
     def render_components(self) -> str:
         return ";".join(star_label(c) for c in self.components)
 
 
-def _check_family(family: str, t: Optional[int]) -> int:
+def family_t(family: str, t: Optional[int]) -> int:
+    """The t of a family: the given positive t for V, and 2 for W2."""
     if family == "V":
         if t is None or t < 1:
             raise ValueError("family V needs a positive integer t")
@@ -169,7 +174,11 @@ def _check_family(family: str, t: Optional[int]) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _guard(n: int, allow_large: bool):
+def _walk(family, t, n, rank_coefficient, allow_large):
+    """An iterator of (components, weight, statistic) over the family's
+    vector partitions of n.  Each component is picked by size, then in
+    class order; the last one takes exactly the size that is left."""
+    t = family_t(family, t)
     if n < 0:
         raise ValueError("partition size must be >= 0")
     if n > ENUMERATION_LIMIT and not allow_large:
@@ -177,62 +186,27 @@ def _guard(n: int, allow_large: bool):
             f"enumeration refused for n = {n} > {ENUMERATION_LIMIT}; "
             "pass allow_large=True to override"
         )
+    records = _components(family, rank_coefficient)
+    scales = (1, 1, 1, 1, 1, t, t)
+    last = len(records) - 1
+    # per component and size: (member, weight, statistic) of each member
+    valued = [[[(m, weight(m), statistic(m)) for m in enumerate_class(size, cls)]
+               for size in range(n // scale + 1)]
+              for (cls, weight, statistic), scale in zip(records, scales)]
 
-
-def _iter_tuples(classes, scales, n):
-    """All 7-tuples with scaled component sums adding to n."""
-
-    def rec(i, remaining, chosen):
-        if i == len(classes):
-            if remaining == 0:
-                yield tuple(chosen)
-            return
+    def rec(i, remaining, chosen, weight, statistic):
         scale = scales[i]
-        for sub in range(remaining // scale + 1):
-            for comp in enumerate_class(sub, classes[i]):
-                chosen.append(comp)
-                yield from rec(i + 1, remaining - scale * sub, chosen)
-                chosen.pop()
+        if i == last:
+            if remaining % scale == 0:
+                for member, w, s in valued[i][remaining // scale]:
+                    yield (*chosen, member), weight * w, statistic + s
+            return
+        for size in range(remaining // scale + 1):
+            for member, w, s in valued[i][size]:
+                yield from rec(i + 1, remaining - scale * size, (*chosen, member),
+                               weight * w, statistic + s)
 
-    yield from rec(0, n, [])
-
-
-def _v_stats(comps, rank_coefficient):
-    weight = -1 if len(comps[0]) % 2 else 1
-    statistic = (
-        len(comps[1])
-        - len(comps[2])
-        + 2 * (len(comps[3]) - len(comps[4]))
-        + rank_coefficient * (len(comps[5]) - len(comps[6]))
-    )
-    return weight, statistic
-
-
-def _w_stats(comps):
-    weight = (-1 if len(comps[0]) % 2 else 1) * star_weight(comps[5]) * star_weight(
-        comps[6]
-    )
-    statistic = (
-        len(comps[1])
-        - len(comps[2])
-        + 2 * (len(comps[3]) - len(comps[4]))
-        + star_crank(comps[5])
-        + 2 * star_crank(comps[6])
-    )
-    return weight, statistic
-
-
-def _walk(family, t, n, rank_coefficient, allow_large):
-    """The family's t, and an iterator of (components, weight, statistic)
-    over all its vector partitions of n."""
-    t = _check_family(family, t)
-    _guard(n, allow_large)
-    if family == "V":
-        classes, stats = _V_CLASSES, lambda comps: _v_stats(comps, rank_coefficient)
-    else:
-        classes, stats = _W_CLASSES, _w_stats
-    tuples = _iter_tuples(classes, (1, 1, 1, 1, 1, t, t), n)
-    return t, ((comps, *stats(comps)) for comps in tuples)
+    return rec(0, n, (), 1, 0)
 
 
 def enumerate_vectors(
@@ -247,9 +221,8 @@ def enumerate_vectors(
     ``rank_coefficient`` generalizes the multirank: any coefficient not
     divisible by 5 on the last component pair works; 2 is the default.
     """
-    t, walk = _walk(family, t, n, rank_coefficient, allow_large)
-    return [VectorPartition(family, t, comps, weight, statistic, n)
-            for comps, weight, statistic in walk]
+    return [VectorPartition(*vector)
+            for vector in _walk(family, t, n, rank_coefficient, allow_large)]
 
 
 def statistic_distribution(
@@ -260,9 +233,8 @@ def statistic_distribution(
     allow_large: bool = False,
 ) -> dict:
     """Weighted counts by statistic value: m -> sum of weights."""
-    _, walk = _walk(family, t, n, rank_coefficient, allow_large)
     dist: dict = {}
-    for _, weight, statistic in walk:
+    for _, weight, statistic in _walk(family, t, n, rank_coefficient, allow_large):
         dist[statistic] = dist.get(statistic, 0) + weight
     return {m: c for m, c in dist.items() if c}
 
@@ -341,7 +313,7 @@ def series_counts(
 ) -> BivariateSeries:
     """Statistic generating function: coefficient of z^m q^n is the
     weighted count with statistic m at size n."""
-    t = _check_family(family, t)
+    t = family_t(family, t)
     spec = multirank_spec(t) if family == "V" else vector_crank_spec()
     return expand_bivariate(spec, precision, z_mod=z_mod)
 

@@ -231,7 +231,7 @@ def evaluate(node, precision: int) -> QSeries:
     if isinstance(node, Pow):
         return evaluate(node.inner, precision).power(node.exponent)
     if isinstance(node, Dissect):
-        inner = evaluate(node.inner, node.modulus * precision + node.residue)
+        inner = evaluate(node.inner, node.modulus * precision)
         return inner.dissect(node.modulus, node.residue)
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -174,7 +174,7 @@ def check_equidistribution(
     def body(needed):
         # generating-function route, with z-exponents folded mod m
         buckets = comb.series_counts(spec.family, spec.t, needed, z_mod=m).residue_buckets(m)
-        totals = theta.build("w", needed, spec.t if spec.family == "V" else 2)
+        totals = theta.build("w", needed, comb.family_t(spec.family, spec.t))
         for n, idx in enumerate(indices):
             values = [b[idx] for b in buckets]
             if len(set(values)) != 1 or values[0] * m != totals[idx]:
@@ -217,7 +217,7 @@ def check_oracle_agreement(
 
     def body(needed):
         gf = comb.series_counts(family, t, needed)
-        w = theta.build("w", needed, t if family == "V" else 2)
+        w = theta.build("w", needed, comb.family_t(family, t))
         if not gf.is_z_symmetric():
             return "generating function not symmetric under z -> 1/z", None
         for n in range(n_limit + 1):

@@ -77,6 +77,24 @@ class TestExpand:
         assert first == second
 
 
+class TestSeriesFlags:
+    @pytest.mark.parametrize("command", [
+        ("expand",),
+        ("sweep", "--a", "5", "--b", "4", "--mod", "5", "--nmax", "5"),
+    ], ids=["expand", "sweep"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--series", "phi", "--t", "3"), "takes no parameter"),
+        (("--series", "phi", "--k", "3"), "takes no --k"),
+        (("--series", "w", "--t", "3", "--k", "2"), "takes no --k"),
+        (("--series", "f_k", "--k", "1", "--t", "2"), "takes no --t"),
+    ], ids=["phi-t", "phi-k", "w-k", "f-t"])
+    def test_flag_the_series_does_not_take_is_usage_error(self, capsys, command,
+                                                          flags, message):
+        code, _, err = run(capsys, command[0], *flags, *command[1:])
+        assert code == 2
+        assert message in err
+
+
 class TestVerify:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "verify", "--list")
@@ -163,6 +181,13 @@ class TestTables:
         assert code == 2
         assert "requires --t" in err
 
+    def test_ranktable_w2_rejects_other_t(self, capsys):
+        code, out, err = run(capsys, "ranktable", "--family", "W2", "--t", "3",
+                             "--n", "2", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "fixes t = 2" in err
+
     def test_ranktable_guardrail(self, capsys):
         code, _, err = run(capsys, "ranktable", "--family", "V", "--t", "1",
                            "--n", "30")
@@ -204,6 +229,16 @@ class TestSweep:
                            "--nmax", "20", "--precision", "200")
         assert code == 1
         assert json.loads(out)["status"] == "fail"
+
+    def test_aliases_name_the_same_series(self, capsys):
+        outputs = []
+        for series in ("c", "c_t"):
+            code, out, _ = run(capsys, "sweep", "--series", series, "--t", "10",
+                               "--a", "5", "--b", "4", "--nmax", "20",
+                               "--precision", "200")
+            assert code == 0
+            outputs.append({k: v for k, v in json.loads(out).items() if k != "millis"})
+        assert outputs[0] == outputs[1]
 
     def test_unknown_series_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--series", "bogus",

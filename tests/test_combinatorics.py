@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -47,6 +48,16 @@ class TestPartitionClasses:
 
     def test_odd_parts(self):
         assert set(enumerate_class(5, "O")) == {(5,), (3, 1, 1), (1, 1, 1, 1, 1)}
+
+    @pytest.mark.parametrize("cls, keep", [
+        ("O", lambda p: all(x % 2 for x in p)),
+        ("DE", lambda p: len(set(p)) == len(p) and not any(x % 2 for x in p)),
+        ("DO", lambda p: len(set(p)) == len(p) and all(x % 2 for x in p)),
+    ])
+    def test_class_is_filtered_ordinary_partitions(self, cls, keep):
+        for n in range(16):
+            want = tuple(p for p in enumerate_class(n, "P") if keep(p))
+            assert enumerate_class(n, cls) == want, (cls, n)
 
     def test_empty_partition(self):
         for cls in ("P", "O", "DE", "DO", "PSTAR"):
@@ -152,6 +163,51 @@ class TestVectorEnumeration:
         rendered = {v.render_components() for v in vectors}
         assert "[];[3];[];[];[];[];[]" in rendered
         assert "[2];[1];[];[];[];[];[]" in rendered
+
+
+def _size_vectors(scales, n):
+    """Every vector of component sizes whose scaled sum is n."""
+    if not scales:
+        if n == 0:
+            yield ()
+        return
+    for size in range(n // scales[0] + 1):
+        for rest in _size_vectors(scales[1:], n - scales[0] * size):
+            yield (size,) + rest
+
+
+def _brute_force(family, t, n, h):
+    """Vector partitions with whole-tuple weight and statistic formulas,
+    in the walk's order: by first component's size, then its class order,
+    then the same for the second component, and so on."""
+    tail = ("P", "P") if family == "V" else ("PSTAR", "PSTAR")
+    classes = ("DE", "O", "O", "O", "O") + tail
+    scales = (1, 1, 1, 1, 1, t or 2, t or 2)
+    keyed = []
+    for sizes in _size_vectors(scales, n):
+        pools = [enumerate_class(k, cls) for k, cls in zip(sizes, classes)]
+        for picks in product(*(range(len(pool)) for pool in pools)):
+            c = tuple(pool[i] for pool, i in zip(pools, picks))
+            weight = -1 if len(c[0]) % 2 else 1
+            statistic = len(c[1]) - len(c[2]) + 2 * (len(c[3]) - len(c[4]))
+            if family == "V":
+                statistic += h * (len(c[5]) - len(c[6]))
+            else:
+                weight *= star_weight(c[5]) * star_weight(c[6])
+                statistic += star_crank(c[5]) + 2 * star_crank(c[6])
+            keyed.append(([x for pair in zip(sizes, picks) for x in pair],
+                          (c, weight, statistic)))
+    return [vector for _, vector in sorted(keyed, key=lambda item: item[0])]
+
+
+class TestWalkAgainstBruteForce:
+    @pytest.mark.parametrize("family, t, h", [
+        ("V", t, h) for t in (1, 2, 3, 4) for h in (1, 2, 3)] + [("W2", None, 2)])
+    def test_vectors_in_order(self, family, t, h):
+        for n in range(8):
+            got = [(v.components, v.weight, v.statistic)
+                   for v in enumerate_vectors(family, t, n, rank_coefficient=h)]
+            assert got == _brute_force(family, t, n, h), (family, t, h, n)
 
 
 class TestScalarOracles:

@@ -127,6 +127,23 @@ class TestEvaluator:
         w4 = build("w", 7, 4)
         assert got.coeffs == (w4[1], w4[3], w4[5])
 
+    @pytest.mark.parametrize(
+        "node", [side for e in catalog() for side in (e.lhs, e.rhs)
+                 if isinstance(side, Dissect)],
+        ids=lambda node: f"{node.inner.name}-{node.modulus}-{node.residue}")
+    def test_dissect_builds_modulus_times_precision(self, monkeypatch, node):
+        # coeffs[r::m] of m * N coefficients holds N terms for every r < m
+        calls = []
+        original = theta.build
+
+        def recording(name, precision, param=None):
+            calls.append((name, precision, param))
+            return original(name, precision, param)
+
+        monkeypatch.setattr(theta, "build", recording)
+        assert len(evaluate(node, 40).coeffs) == 40
+        assert calls == [(node.inner.name, node.modulus * 40, node.inner.param)]
+
     def test_sum_scale_pow(self):
         expr = Sum((Scale(2, Const(1)), Pow(Ref("f", 1), 2)))
         got = evaluate(expr, 5)
