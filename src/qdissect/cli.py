@@ -64,6 +64,8 @@ def _write(text: str, output: Optional[str]):
 
 
 _SERIES_ALIASES = {"w_t": "w", "c_t": "c", "phi-neg": "phi_neg", "f_k": "f"}
+_SERIES_HELP = "one of: " + ", ".join(
+    sorted(set(theta.SERIES_NAMES) | set(_SERIES_ALIASES)))
 
 
 def _series(args) -> tuple:
@@ -196,8 +198,6 @@ def _table(args, family: str, t: Optional[int]) -> int:
 
 
 def cmd_ranktable(args) -> int:
-    if args.family == "V" and args.t is None:
-        raise ValueError("family V requires --t")
     return _table(args, args.family, args.t)
 
 
@@ -229,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="file path or '-' for stdout")
 
     p = sub.add_parser("expand", help="expand a named series")
-    p.add_argument("--series", required=True, choices=tuple(
-        sorted(set(theta.SERIES_NAMES) | set(_SERIES_ALIASES))))
+    p.add_argument("--series", required=True, help=_SERIES_HELP)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     common(p, precision_default=32)
@@ -270,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cranktable)
 
     p = sub.add_parser("sweep", help="check a custom congruence spec")
-    p.add_argument("--series", required=True)
+    p.add_argument("--series", required=True, help=_SERIES_HELP)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--a", type=int, required=True, help="progression step")

@@ -165,7 +165,7 @@ def family_t(family: str, t: Optional[int]) -> int:
     """The t of a family: the given positive t for V, and 2 for W2."""
     if family == "V":
         if t is None or t < 1:
-            raise ValueError("family V needs a positive integer t")
+            raise ValueError("family V requires --t, a positive integer")
         return t
     if family == "W2":
         if t not in (None, 2):

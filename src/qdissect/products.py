@@ -5,6 +5,7 @@ A ProductSpec is a product of generalized Pochhammer symbols
 scalar * z^j q^k.  Expansion to any precision is exact; an eta factor
 (q^k; q^k) comes from Euler's pentagonal sum, and negative exponents go
 through series inversion (every factor is a unit with constant term 1).
+A univariate expansion can be taken mod M, as exact residues.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bivariate import BivariateSeries
-from .series import QSeries, pentagonal_sum, pochhammer_series
+from .series import QSeries, pentagonal_sum, pochhammer_series, product
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,27 @@ def eta_quotient(powers: dict, scalar: int = 1, q_shift: int = 0) -> ProductSpec
     return ProductSpec(factors, scalar=scalar, q_shift=q_shift)
 
 
-def expand_univariate(spec: ProductSpec, precision: int) -> QSeries:
+def expand_univariate(
+    spec: ProductSpec, precision: int, modulus: Optional[int] = None
+) -> QSeries:
+    """Expand to ``precision`` coefficients, as residues mod ``modulus``
+    when one is given (every factor is a unit, so its inverse exists
+    in Z/MZ too)."""
     if not spec.is_univariate:
         raise ValueError("spec has z-dependence; use expand_bivariate")
     if precision < 0:
         raise ValueError("precision must be >= 0")
-    numerator = QSeries.one(precision)
-    denominator = QSeries.one(precision)
+    numerator, denominator = [], []
     for fac in spec.factors:
         if fac.q_offset == fac.q_step:  # the eta factor f_k
             base = pentagonal_sum(precision, fac.q_step)
         else:
             base = pochhammer_series(fac.q_offset, fac.q_step, precision)
-        powered = base.power(abs(fac.exponent))
-        if fac.exponent > 0:
-            numerator = numerator * powered
-        else:
-            denominator = denominator * powered
-    result = numerator * denominator.inverse()
+        powered = QSeries(base.coeffs, modulus).power(abs(fac.exponent))
+        (numerator if fac.exponent > 0 else denominator).append(powered)
+    if denominator:
+        numerator.append(product(denominator, precision, modulus).inverse())
+    result = product(numerator, precision, modulus)
     if spec.scalar != 1:
         result = result.scale(spec.scalar)
     if spec.q_shift:

@@ -1,9 +1,15 @@
-"""Exact truncated formal power series with unbounded integer coefficients.
+"""Exact truncated formal power series over Z or over Z/MZ.
 
 A series of precision N stores the coefficients of q^0 .. q^(N-1) and
 claims nothing about anything beyond that range.  Binary operations
 return the minimum precision of their operands, so precision loss is
 always explicit and no operation silently reads unknown coefficients.
+
+A series with a ``modulus`` M holds the residues mod M of its
+coefficients, each in [0, M).  Reduction mod M commutes with sums,
+products, powers and inverses of units, so a reduced expansion is the
+exact residue of the integer one; its Kronecker digits stay about
+2*log2(M) + log2(N) bits wide.
 """
 
 from __future__ import annotations
@@ -87,23 +93,41 @@ def _convolve_packed(a: Sequence[int], b: Sequence[int], out_len: int) -> list:
     return out
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], out_len: int) -> list:
+def _convolve(
+    a: Sequence[int], b: Sequence[int], out_len: int, modulus: Optional[int] = None
+) -> list:
+    """The first ``out_len`` coefficients of a*b, reduced mod ``modulus``
+    when one is given."""
     if out_len == 0:
         return []
     if min(len(a), len(b), out_len) < _PACKED_CUTOFF:
-        return _convolve_schoolbook(a, b, out_len)
-    return _convolve_packed(a, b, out_len)
+        out = _convolve_schoolbook(a, b, out_len)
+    else:
+        out = _convolve_packed(a, b, out_len)
+    return out if modulus is None else [v % modulus for v in out]
 
 
 @dataclass(frozen=True)
 class QSeries:
-    """Truncated power series; ``coeffs[n]`` is the coefficient of q^n."""
+    """Truncated power series; ``coeffs[n]`` is the coefficient of q^n.
+
+    ``modulus`` None means the coefficients are integers; an integer
+    M >= 2 means they are residues mod M, reduced into [0, M) on
+    construction.  Binary operations require both operands to share it.
+    """
 
     coeffs: tuple
+    modulus: Optional[int] = None
 
     def __post_init__(self):
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        m = self.modulus
+        if m is None:
+            if not isinstance(self.coeffs, tuple):
+                object.__setattr__(self, "coeffs", tuple(self.coeffs))
+            return
+        if m < 2:
+            raise ValueError(f"series modulus must be >= 2, got {m}")
+        object.__setattr__(self, "coeffs", tuple(c % m for c in self.coeffs))
 
     @property
     def precision(self) -> int:
@@ -114,10 +138,10 @@ class QSeries:
         return cls((0,) * precision)
 
     @classmethod
-    def one(cls, precision: int) -> "QSeries":
+    def one(cls, precision: int, modulus: Optional[int] = None) -> "QSeries":
         if precision == 0:
-            return cls(())
-        return cls((1,) + (0,) * (precision - 1))
+            return cls((), modulus)
+        return cls((1,) + (0,) * (precision - 1), modulus)
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n < len(self.coeffs):
@@ -126,71 +150,85 @@ class QSeries:
             )
         return self.coeffs[n]
 
+    def _common_modulus(self, other: "QSeries") -> Optional[int]:
+        if self.modulus != other.modulus:
+            raise ValueError(
+                f"cannot combine series over {_ring(self.modulus)} and "
+                f"over {_ring(other.modulus)}"
+            )
+        return self.modulus
+
     def __add__(self, other: "QSeries") -> "QSeries":
+        m = self._common_modulus(other)
         p = min(len(self.coeffs), len(other.coeffs))
-        return QSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(p)))
+        return QSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(p)), m)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
+        m = self._common_modulus(other)
         p = min(len(self.coeffs), len(other.coeffs))
-        return QSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(p)))
+        return QSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(p)), m)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(tuple(-c for c in self.coeffs))
+        return QSeries(tuple(-c for c in self.coeffs), self.modulus)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        m = self._common_modulus(other)
         p = min(len(self.coeffs), len(other.coeffs))
-        return QSeries(tuple(_convolve(self.coeffs[:p], other.coeffs[:p], p)))
+        return QSeries(tuple(_convolve(self.coeffs[:p], other.coeffs[:p], p, m)), m)
 
     def scale(self, c: int) -> "QSeries":
-        return QSeries(tuple(c * v for v in self.coeffs))
+        return QSeries(tuple(c * v for v in self.coeffs), self.modulus)
 
     def shift(self, j: int) -> "QSeries":
         """Multiply by q^j.  The result gains j known coefficients."""
         if j < 0:
             raise ValueError("shift exponent must be nonnegative")
-        return QSeries((0,) * j + self.coeffs)
+        return QSeries((0,) * j + self.coeffs, self.modulus)
 
     def truncate(self, n: int) -> "QSeries":
         if not 0 <= n <= len(self.coeffs):
             raise ValueError(
                 f"cannot truncate precision {len(self.coeffs)} series to {n}"
             )
-        return QSeries(self.coeffs[:n])
+        return QSeries(self.coeffs[:n], self.modulus)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse, by Newton iteration.
 
-        Requires constant term +1 or -1 (every Pochhammer product here is
-        such a unit).  Precision is preserved.
+        Requires constant term +1 or -1, mod M for a reduced series
+        (every Pochhammer product here is such a unit).  Precision is
+        preserved.
         """
         p = len(self.coeffs)
         if p == 0:
             return self
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
+        c0, m = self.coeffs[0], self.modulus
+        if c0 not in ((1, -1) if m is None else (1, m - 1)):
             raise NonUnitError(f"constant term {c0} is not a unit")
-        g = [c0]
+        g = [c0]  # c0 * c0 == 1: c0 is its own inverse
         k = 1
         while k < p:
             k = min(2 * k, p)
-            fg = _convolve(self.coeffs[:k], g, k)
+            fg = _convolve(self.coeffs[:k], g, k, m)
             t = [-v for v in fg]
             t[0] += 2
-            g = _convolve(g, t, k)
-        return QSeries(tuple(g))
+            g = _convolve(g, t, k, m)
+        return QSeries(tuple(g), m)
 
     def power(self, e: int) -> "QSeries":
         if e < 0:
             return self.power(-e).inverse()
-        result = QSeries.one(len(self.coeffs))
+        if e == 0:
+            return QSeries.one(len(self.coeffs), self.modulus)
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def substitute_power(self, k: int) -> "QSeries":
         """Replace q by q^k; the result has precision k * precision."""
@@ -199,7 +237,7 @@ class QSeries:
         out = [0] * (len(self.coeffs) * k)
         for n, c in enumerate(self.coeffs):
             out[n * k] = c
-        return QSeries(tuple(out))
+        return QSeries(tuple(out), self.modulus)
 
     def dissect(self, m: int, r: int) -> "QSeries":
         """Extract the coefficients along n = m*j + r as a new series."""
@@ -207,11 +245,24 @@ class QSeries:
             raise ValueError("dissection modulus must be >= 1")
         if not 0 <= r < m:
             raise ValueError(f"residue {r} out of range for modulus {m}")
-        return QSeries(self.coeffs[r::m])
+        return QSeries(self.coeffs[r::m], self.modulus)
 
     def to_decimal_strings(self) -> list:
         """Coefficients as decimal strings, for JSON consumers."""
         return [str(c) for c in self.coeffs]
+
+
+def _ring(modulus: Optional[int]) -> str:
+    return "Z" if modulus is None else f"Z/{modulus}Z"
+
+
+def product(factors, precision: int, modulus: Optional[int] = None) -> QSeries:
+    """The product of the series in ``factors``, multiplied left to right;
+    one at ``precision`` (mod ``modulus``) when there is none."""
+    result = None
+    for factor in factors:
+        result = factor if result is None else result * factor
+    return QSeries.one(precision, modulus) if result is None else result
 
 
 @dataclass(frozen=True)

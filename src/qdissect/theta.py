@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .products import Factor, ProductSpec, eta_quotient, expand_univariate
-from .series import QSeries, equal_upto, pentagonal_sum  # noqa: F401 (re-export)
+from .series import QSeries, equal_upto, product
+from .series import pentagonal_sum  # noqa: F401 (re-export)
 
 
 # ---------------------------------------------------------------------------
@@ -61,23 +62,28 @@ def series_spec(name: str, param: Optional[int] = None) -> ProductSpec:
     raise ValueError(f"unknown series name {name!r}")
 
 
-# The one cache of series expansions: per (name, param), the longest
-# expansion built so far.  Truncations of a product are prefix-stable, so
-# shorter requests are served its prefix.  The oldest entry goes first once
-# more keys than _BUILD_CACHE_KEYS are held (the full suite uses 21).
+# The one cache of series expansions: per (name, param), or per
+# (name, param, modulus) for residues mod M, the longest expansion built so
+# far.  Truncations of a product are prefix-stable, so shorter requests are
+# served its prefix.  The oldest entry goes first once more keys than
+# _BUILD_CACHE_KEYS are held (the full suite uses 41).
 _BUILD_CACHE: dict = {}
 _BUILD_CACHE_KEYS = 64
 
 
-def build(name: str, precision: int, param: Optional[int] = None) -> QSeries:
-    """Expand a named series to the requested precision.
+def build(
+    name: str, precision: int, param: Optional[int] = None,
+    modulus: Optional[int] = None,
+) -> QSeries:
+    """Expand a named series to the requested precision, as residues
+    mod ``modulus`` when one is given.
 
     Names: f(k), phi, phi_neg, psi, x, w(t), a, a1, a2, c(t), d, p.
     """
-    key = (name, param)
+    key = (name, param) if modulus is None else (name, param, modulus)
     series = _BUILD_CACHE.get(key)
     if series is None or series.precision < precision:
-        series = expand_univariate(series_spec(name, param), precision)
+        series = expand_univariate(series_spec(name, param), precision, modulus)
         _BUILD_CACHE.pop(key, None)
         _BUILD_CACHE[key] = series
         if len(_BUILD_CACHE) > _BUILD_CACHE_KEYS:
@@ -212,10 +218,7 @@ def evaluate(node, precision: int) -> QSeries:
             result = result + evaluate(term, precision)
         return result
     if isinstance(node, Mul):
-        result = QSeries.one(precision)
-        for factor in node.factors:
-            result = result * evaluate(factor, precision)
-        return result
+        return product((evaluate(f, precision) for f in node.factors), precision)
     if isinstance(node, Scale):
         return evaluate(node.inner, precision).scale(node.scalar)
     if isinstance(node, Shift):

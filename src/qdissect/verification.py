@@ -9,6 +9,8 @@ and turns every record into a Report: a check that would need more
 series coefficients than the run's precision, or that covers no item,
 reports "skipped", never a false "pass".
 ``run_suite`` selects items by id before any of them runs.
+A congruence sweep mod M reads residues mod M; the value it reports for
+a failure comes from the integer expansion, which must agree.
 """
 
 from __future__ import annotations
@@ -152,11 +154,20 @@ def _first(counterexamples) -> Optional[tuple]:
 
 def check_congruence(spec: CongruenceSpec, precision: int = DEFAULT_PRECISION) -> Report:
     def body(needed):
-        series = theta.build(spec.series, needed, spec.param)
+        # residues mod the spec's modulus, or integers for exact zeros
+        series = theta.build(spec.series, needed, spec.param, spec.modulus)
         for n in range(spec.n_max + 1):
-            value = series[spec.step * n + spec.offset]
-            if value if spec.modulus is None else value % spec.modulus:
-                return "", {"n": n, "index": spec.step * n + spec.offset, "value": value}
+            index = spec.step * n + spec.offset
+            residue = series[index]
+            if residue:
+                # the reported value comes from the integer route, which
+                # must reduce to the same nonzero residue
+                value = theta.build(spec.series, index + 1, spec.param)[index]
+                if (value if spec.modulus is None else value % spec.modulus) != residue:
+                    raise RuntimeError(
+                        f"{spec.id}: routes disagree at index {index}: integer "
+                        f"{value}, residue {residue} mod {spec.modulus}")
+                return "", {"n": n, "index": index, "value": value}
         return None
 
     needed = spec.step * spec.n_max + spec.offset + 1

@@ -48,6 +48,20 @@ class TestExpand:
         assert code == 2
         assert "requires --t" in err
 
+    def test_unknown_series_is_usage_error(self, capsys):
+        # the same path and message as sweep, not argparse choices
+        code, out, err = run(capsys, "expand", "--series", "bogus")
+        assert code == 2
+        assert out == ""
+        assert "unknown series name 'bogus'" in err
+
+    def test_help_lists_the_series_names(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["expand", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        names = sorted(set(theta.SERIES_NAMES) | {"w_t", "c_t", "phi-neg", "f_k"})
+        assert "one of: " + ", ".join(names) in out
+
     def test_matches_library_directly(self, capsys):
         # the CLI must be a thin adapter: identical numbers to theta.build
         code, out, _ = run(capsys, "expand", "--series", "c_t", "--t", "4",
@@ -179,6 +193,13 @@ class TestTables:
     def test_ranktable_requires_t(self, capsys):
         code, _, err = run(capsys, "ranktable", "--family", "V", "--n", "3")
         assert code == 2
+        assert "requires --t" in err
+
+    def test_ranktable_rejects_nonpositive_t(self, capsys):
+        code, out, err = run(capsys, "ranktable", "--family", "V", "--t", "0",
+                             "--n", "3")
+        assert code == 2
+        assert out == ""
         assert "requires --t" in err
 
     def test_ranktable_w2_rejects_other_t(self, capsys):

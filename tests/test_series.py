@@ -3,8 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdissect.series import (
+    _PACKED_CUTOFF,
     NonUnitError,
     QSeries,
+    _convolve,
     _convolve_packed,
     _convolve_schoolbook,
     equal_upto,
@@ -111,6 +113,64 @@ class TestConvolutionRoutes:
 
     def test_packed_zero_operand(self):
         assert _convolve_packed([0] * 60, [1] * 60, 60) == [0] * 60
+
+    @pytest.mark.parametrize("sizes", [(1, _PACKED_CUTOFF - 1), (_PACKED_CUTOFF, 90)],
+                             ids=["schoolbook", "packed"])
+    @given(data=st.data(), modulus=st.integers(2, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_reduced_matches_integer_route(self, sizes, data, modulus):
+        # the mod-M route against the integer route it replaces
+        lo, hi = sizes
+        operand = st.lists(st.integers(-(10 ** 12), 10 ** 12), min_size=lo, max_size=hi)
+        a, b = data.draw(operand), data.draw(operand)
+        n = min(len(a), len(b))
+        assert _convolve(a, b, n, modulus) == [v % modulus for v in _convolve(a, b, n)]
+
+
+class TestReducedSeries:
+    def test_coefficients_are_reduced(self):
+        s = QSeries((7, -1, 12, 0), 5)
+        assert s.coeffs == (2, 4, 2, 0)
+        assert (-s).coeffs == (3, 1, 3, 0)
+        assert s.scale(3).coeffs == (1, 2, 1, 0)
+
+    def test_modulus_below_two_is_rejected(self):
+        with pytest.raises(ValueError):
+            QSeries((1, 2), 1)
+
+    @pytest.mark.parametrize("modulus", [2, 5, 7, 729])
+    @pytest.mark.parametrize("c0", ["one", "minus one"])
+    def test_inverse_times_series_is_one(self, modulus, c0):
+        coeffs = pochhammer_series(1, 1, 200).power(-3).coeffs
+        s = QSeries(coeffs, modulus)
+        if c0 == "minus one":
+            s = s.scale(-1)
+            assert s[0] == modulus - 1
+        assert (s.inverse() * s).coeffs == QSeries.one(200, modulus).coeffs
+
+    def test_inverse_is_the_reduced_integer_inverse(self):
+        s = pochhammer_series(1, 1, 300).power(5)
+        reduced = QSeries(s.inverse().coeffs, 11)
+        assert QSeries(s.coeffs, 11).inverse().coeffs == reduced.coeffs
+
+    def test_inverse_requires_unit_mod_m(self):
+        with pytest.raises(NonUnitError):
+            QSeries((2, 1, 1), 5).inverse()
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    @pytest.mark.parametrize("other", [7, None])
+    def test_mixing_moduli_raises(self, op, other):
+        a, b = QSeries((1, 2, 3), 5), QSeries((1, 1, 1), other)
+        with pytest.raises(ValueError, match="cannot combine"):
+            getattr(a, f"__{op}__")(b)
+        with pytest.raises(ValueError, match="cannot combine"):
+            getattr(b, f"__{op}__")(a)
+
+    def test_structural_ops_keep_the_modulus(self):
+        s = QSeries((1, 2, 3, 4), 5)
+        for t in (s.shift(1), s.truncate(2), s.dissect(2, 1), s.substitute_power(2),
+                  s.power(3), s.power(-1), QSeries.one(3, 5)):
+            assert t.modulus == 5
 
 
 class TestStructuralOps:

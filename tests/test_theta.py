@@ -23,6 +23,7 @@ from qdissect.theta import (
     psi_sum,
     verify_entry,
 )
+from qdissect.verification import congruence_catalog
 
 UNIT_PRECISION = 80  # full default precisions are exercised by the suite
 
@@ -215,3 +216,57 @@ class TestDissectionRecombination:
         for r, part in enumerate(parts):
             rebuilt[r::3] = part.coeffs
         assert tuple(rebuilt) == w3.coeffs
+
+
+def _catalog_moduli() -> dict:
+    """(series, t) -> the moduli its congruence sweeps are checked at."""
+    moduli = {}
+    for spec in congruence_catalog():
+        if spec.modulus is not None:
+            moduli.setdefault((spec.series, spec.param), set()).add(spec.modulus)
+    return moduli
+
+
+class TestModularRoute:
+    @pytest.mark.parametrize("series, t, moduli", [
+        pytest.param(s, t, sorted(m), id=f"{s}{t}")
+        for (s, t), m in sorted(_catalog_moduli().items())])
+    def test_reduced_build_equals_reduced_integer_build(self, monkeypatch, series, t,
+                                                        moduli):
+        # every (series, t, modulus) of the congruence catalog, at 2000
+        monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+        integer = build(series, 2000, t)
+        for m in moduli:
+            reduced = build(series, 2000, t, m)
+            assert reduced.modulus == m
+            assert reduced.coeffs == tuple(c % m for c in integer.coeffs)
+
+    def test_cache_keeps_reduced_and_integer_builds_apart(self, monkeypatch):
+        monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+        integer = build("w", 50, 2)
+        assert build("w", 50, 2, 7).coeffs == tuple(c % 7 for c in integer.coeffs)
+        assert build("w", 50, 2).coeffs == integer.coeffs
+        assert set(theta._BUILD_CACHE) == {("w", 2), ("w", 2, 7)}
+
+
+class TestNoMultiplicationByOne:
+    def test_no_product_has_a_one_operand(self, monkeypatch):
+        # the series themselves are kept, so no id is reused while compared
+        ones, operands = [], []
+        one, mul = QSeries.one.__func__, QSeries.__mul__
+
+        def recording_one(cls, *args):
+            ones.append(one(cls, *args))
+            return ones[-1]
+
+        def recording_mul(a, b):
+            operands.extend((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(QSeries, "one", classmethod(recording_one))
+        monkeypatch.setattr(QSeries, "__mul__", recording_mul)
+        monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+        build("w", 300, 4)
+        evaluate(theta.Mul((Ref("psi"), Pow(Ref("phi_neg"), 2), Ref("w", 4))), 300)
+        assert operands
+        assert {id(s) for s in ones}.isdisjoint(id(s) for s in operands)

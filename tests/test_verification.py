@@ -1,6 +1,7 @@
 import pytest
 
 from qdissect import theta, verification
+from qdissect.series import QSeries
 from qdissect.verification import (
     CongruenceSpec,
     EquidistributionSpec,
@@ -44,14 +45,14 @@ class TestCongruenceChecks:
         calls = []
         original = theta.build
 
-        def recording(name, precision, param=None):
-            calls.append((name, precision, param))
-            return original(name, precision, param)
+        def recording(name, precision, param=None, modulus=None):
+            calls.append((name, precision, param, modulus))
+            return original(name, precision, param, modulus)
 
         monkeypatch.setattr(theta, "build", recording)
         spec = CongruenceSpec("t", "w", 1, 5, 4, 5, 10)
         assert check_congruence(spec, 4000).status == "pass"
-        assert calls == [("w", 55, 1)]
+        assert calls == [("w", 55, 1, 5)]
 
     def test_insufficient_precision_skips(self):
         spec = CongruenceSpec("t", "w", 2, 7, 4, 7, 100)
@@ -91,6 +92,31 @@ class TestNegativeControls:
         spec = CongruenceSpec("c", "w", 2, 7, 4, 7, 20, expect="fail")
         report = _apply_expectation(check_congruence(spec, 200), spec.expect)
         assert (report.kind, report.status) == ("control", "fail")
+
+    @pytest.mark.parametrize("spec_id, counterexample", [
+        ("control-w2-7n3", {"n": 1, "index": 10, "value": 2893}),
+        ("control-w4-5n1", {"n": 0, "index": 1, "value": 4}),
+        ("control-w2-11n7", {"n": 0, "index": 7, "value": 504}),
+    ])
+    def test_controls_report_the_integer_value(self, spec_id, counterexample):
+        # found on the mod-M route, reported from the integer route
+        spec = next(s for s in congruence_catalog() if s.id == spec_id)
+        assert check_congruence(spec).counterexample == counterexample
+
+    def test_route_disagreement_raises(self, monkeypatch):
+        original = theta.build
+
+        def integer_zero(name, precision, param=None, modulus=None):
+            series = original(name, precision, param, modulus)
+            if modulus is None:  # the integer route loses w_2(10) = 2893
+                series = QSeries(series.coeffs[:10] + (0,) + series.coeffs[11:])
+            return series
+
+        monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+        monkeypatch.setattr(theta, "build", integer_zero)
+        spec = CongruenceSpec("c", "w", 2, 7, 3, 7, 20, expect="fail")
+        with pytest.raises(RuntimeError, match="routes disagree at index 10"):
+            check_congruence(spec)
 
     def test_skipped_control_stays_skipped(self):
         spec = CongruenceSpec("c", "w", 2, 7, 3, 7, 20, expect="fail")
