@@ -3,9 +3,12 @@
 A ProductSpec is a product of generalized Pochhammer symbols
 (z^zExp q^a; q^b)_inf^e, optionally times a leading monomial
 scalar * z^j q^k.  Expansion to any precision is exact; an eta factor
-(q^k; q^k) comes from Euler's pentagonal sum, and negative exponents go
-through series inversion (every factor is a unit with constant term 1).
-A univariate expansion can be taken mod M, as exact residues.
+f_k = (q^k; q^k) comes from Euler's pentagonal sum.  Over the integers
+the expansion divides by each f_k in the denominator through Euler's
+recurrence (``series.divide_by_eta``); taken mod M, and for any
+denominator factor that is not an eta factor, it inverts the product of
+the denominator by Newton iteration (every factor is a unit with
+constant term 1).  A univariate expansion mod M gives exact residues.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bivariate import BivariateSeries
-from .series import QSeries, pentagonal_sum, pochhammer_series, product
+from .series import QSeries, divide_by_eta, pentagonal_sum, pochhammer_series, product
 
 
 @dataclass(frozen=True)
@@ -69,14 +72,21 @@ def expand_univariate(
 ) -> QSeries:
     """Expand to ``precision`` coefficients, as residues mod ``modulus``
     when one is given (every factor is a unit, so its inverse exists
-    in Z/MZ too)."""
+    in Z/MZ too).  Over Z, Euler's recurrence divides out the eta factors
+    of the denominator, avoiding Newton products of coefficients hundreds
+    of bits wide; mod M those products stay narrow and are the faster route.
+    """
     if not spec.is_univariate:
         raise ValueError("spec has z-dependence; use expand_bivariate")
     if precision < 0:
         raise ValueError("precision must be >= 0")
-    numerator, denominator = [], []
+    numerator, denominator, eta_divisors = [], [], []
     for fac in spec.factors:
-        if fac.q_offset == fac.q_step:  # the eta factor f_k
+        is_eta = fac.q_offset == fac.q_step  # the eta factor f_k
+        if is_eta and fac.exponent < 0 and modulus is None:
+            eta_divisors.append(fac)
+            continue
+        if is_eta:
             base = pentagonal_sum(precision, fac.q_step)
         else:
             base = pochhammer_series(fac.q_offset, fac.q_step, precision)
@@ -85,6 +95,8 @@ def expand_univariate(
     if denominator:
         numerator.append(product(denominator, precision, modulus).inverse())
     result = product(numerator, precision, modulus)
+    for fac in eta_divisors:
+        result = divide_by_eta(result, fac.q_step, -fac.exponent)
     if spec.scalar != 1:
         result = result.scale(spec.scalar)
     if spec.q_shift:

@@ -43,6 +43,16 @@ def _pack(values: Sequence[int], width: int) -> int:
     )
 
 
+def _pack_signed(values: Sequence[int], width: int) -> int:
+    # the negative part is packed only when there is one, so operands of
+    # residues (all nonnegative) pack once
+    if min(values) >= 0:
+        return _pack(values, width)
+    return _pack([v if v > 0 else 0 for v in values], width) - _pack(
+        [-v if v < 0 else 0 for v in values], width
+    )
+
+
 def _convolve_packed(a: Sequence[int], b: Sequence[int], out_len: int) -> list:
     """Convolution via Kronecker substitution.
 
@@ -65,13 +75,7 @@ def _convolve_packed(a: Sequence[int], b: Sequence[int], out_len: int) -> list:
     bits = ((bits + 7) // 8) * 8
     width = bits // 8
 
-    packed_a = _pack([v if v > 0 else 0 for v in a], width) - _pack(
-        [-v if v < 0 else 0 for v in a], width
-    )
-    packed_b = _pack([v if v > 0 else 0 for v in b], width) - _pack(
-        [-v if v < 0 else 0 for v in b], width
-    )
-    product = packed_a * packed_b
+    product = _pack_signed(a, width) * _pack_signed(b, width)
 
     negate = product < 0
     magnitude = -product if negate else product
@@ -174,7 +178,8 @@ class QSeries:
     def __mul__(self, other: "QSeries") -> "QSeries":
         m = self._common_modulus(other)
         p = min(len(self.coeffs), len(other.coeffs))
-        return QSeries(tuple(_convolve(self.coeffs[:p], other.coeffs[:p], p, m)), m)
+        # the constructor reduces mod m, so the product is reduced once
+        return QSeries(tuple(_convolve(self.coeffs[:p], other.coeffs[:p], p)), m)
 
     def scale(self, c: int) -> "QSeries":
         return QSeries(tuple(c * v for v in self.coeffs), self.modulus)
@@ -296,19 +301,60 @@ def equal_upto(
     return SeriesComparison(True)
 
 
+def pentagonal_terms(precision: int, k: int = 1) -> list:
+    """The (exponent, sign) pairs of f_k = (q^k; q^k)_inf below q^precision,
+    by increasing exponent: Euler's generalized pentagonal exponents
+    k*j*(3j -+ 1)/2 with sign (-1)^j, O(sqrt(precision / k)) of them."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
+    terms = []
+    j = 0
+    while True:
+        g = k * j * (3 * j - 1) // 2  # the exponent of j; g + k*j is that of -j
+        if g >= precision:
+            return terms
+        sign = -1 if j % 2 else 1
+        terms.append((g, sign))
+        if j and g + k * j < precision:
+            terms.append((g + k * j, sign))
+        j += 1
+
+
 def pentagonal_sum(precision: int, k: int = 1) -> QSeries:
     """f_k = (q^k; q^k)_inf as the signed sum over generalized pentagonal
     numbers (Euler); the expansion of every eta factor."""
     out = [0] * precision
-    for j in range(precision + 1):
-        g = k * j * (3 * j - 1) // 2  # the exponent of j; g + k*j is that of -j
-        if g >= precision:
-            break
-        sign = -1 if j % 2 else 1
-        out[g] += sign
-        if j and g + k * j < precision:
-            out[g + k * j] += sign
+    for g, sign in pentagonal_terms(precision, k):
+        out[g] = sign
     return QSeries(tuple(out))
+
+
+def divide_by_eta(series: QSeries, k: int, times: int = 1) -> QSeries:
+    """``series`` / f_k^times by Euler's recurrence, with no product and no
+    inversion: h = g / f_k solves f_k * h = g, so
+    h[n] = g[n] - sum of sign * h[n - p] over the pentagonal terms with
+    0 < p <= n.  Precision and modulus are preserved."""
+    if times < 0:
+        raise ValueError("times must be >= 0")
+    h = list(series.coeffs)
+    terms = pentagonal_terms(len(h), k)[1:]  # all but the constant term 1
+    ends = [p for p, _ in terms[1:]] + [len(h)]
+    for _ in range(times):
+        # h[n] for n below the first exponent equals g[n]; from the i-th
+        # exponent to the next, the first i + 1 terms take part
+        for i, (start, _) in enumerate(terms):
+            added = [p for p, sign in terms[: i + 1] if sign < 0]
+            subtracted = [p for p, sign in terms[: i + 1] if sign > 0]
+            for n in range(start, ends[i]):
+                acc = h[n]
+                for p in added:
+                    acc += h[n - p]
+                for p in subtracted:
+                    acc -= h[n - p]
+                h[n] = acc
+    return QSeries(tuple(h), series.modulus)
 
 
 def pochhammer_series(q_offset: int, q_step: int, precision: int) -> QSeries:

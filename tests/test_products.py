@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdissect import theta
 from qdissect.bivariate import BivariateSeries
@@ -11,7 +13,7 @@ from qdissect.products import (
     expand_univariate,
     f,
 )
-from qdissect.series import QSeries, pochhammer_series
+from qdissect.series import QSeries, pentagonal_sum, pochhammer_series, product
 
 W4 = eta_quotient({2: 5, 1: -4, 4: -2})
 W2 = eta_quotient({2: 3, 1: -4})
@@ -42,6 +44,15 @@ class TestSpecValidation:
     def test_is_univariate(self):
         assert W4.is_univariate
         assert not ProductSpec((Factor(1, 1, -1, z_exp=1),)).is_univariate
+
+
+def newton_route(spec, precision):
+    """The integer route the Euler division replaced: the numerator times
+    the Newton inverse of the denominator's product."""
+    def powers(sign):
+        return [pentagonal_sum(precision, fac.q_step).power(sign * fac.exponent)
+                for fac in spec.factors if sign * fac.exponent > 0]
+    return product(powers(1), precision) * product(powers(-1), precision).inverse()
 
 
 class TestUnivariateExpansion:
@@ -82,13 +93,56 @@ class TestUnivariateExpansion:
     @pytest.mark.parametrize("name, param", [(name, None) for name in sorted(theta._FIXED_ETA)]
                              + [(name, t) for name in ("w", "c") for t in range(1, 11)])
     def test_named_eta_quotients_match_pochhammer_products(self, name, param):
-        # eta factors are expanded by the pentagonal sum; rebuild each named
-        # quotient from Pochhammer products alone
+        # eta factors are expanded by the pentagonal sum and divided out by
+        # Euler's recurrence; rebuild each named quotient from Pochhammer
+        # products alone, and by the Newton route the division replaced
         spec = theta.series_spec(name, param)
         want = QSeries.one(600)
         for fac in spec.factors:
             want = want * pochhammer_series(fac.q_offset, fac.q_step, 600).power(fac.exponent)
-        assert expand_univariate(spec, 600).coeffs == want.coeffs
+        got = expand_univariate(spec, 600).coeffs
+        assert got == want.coeffs
+        assert got == newton_route(spec, 600).coeffs
+
+
+class TestEulerDivision:
+    @given(powers=st.dictionaries(st.integers(1, 8), st.integers(-6, 6), max_size=4),
+           precision=st.integers(0, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_random_eta_quotients_match_the_newton_route(self, powers, precision):
+        spec = eta_quotient(powers)
+        assert expand_univariate(spec, precision).coeffs == newton_route(spec, precision).coeffs
+
+    @pytest.fixture
+    def inverse_calls(self, monkeypatch):
+        calls = []
+        inverse = QSeries.inverse
+
+        def counting_inverse(s):
+            calls.append(s.precision)
+            return inverse(s)
+
+        monkeypatch.setattr(QSeries, "inverse", counting_inverse)
+        monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+        return calls
+
+    def test_integer_eta_builds_invert_nothing(self, inverse_calls):
+        for name in sorted(theta._FIXED_ETA):
+            theta.build(name, 300)
+        for t in range(1, 11):
+            theta.build("w", 300, t)
+            theta.build("c", 300, t)
+        assert inverse_calls == []
+
+    @pytest.mark.parametrize("route", ["x", "w4-frobenius", "mod 5"])
+    def test_other_routes_still_invert(self, inverse_calls, route):
+        if route == "x":
+            theta.build("x", 300)
+        elif route == "mod 5":
+            theta.build("w", 300, 1, 5)
+        else:
+            theta.evaluate(theta.catalog_entry(route).rhs, 300)
+        assert inverse_calls
 
 
 class TestBivariateExpansion:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdissect import series
 from qdissect.series import (
     _PACKED_CUTOFF,
     NonUnitError,
@@ -9,8 +10,10 @@ from qdissect.series import (
     _convolve,
     _convolve_packed,
     _convolve_schoolbook,
+    divide_by_eta,
     equal_upto,
     pentagonal_sum,
+    pentagonal_terms,
     pochhammer_series,
 )
 
@@ -48,6 +51,47 @@ class TestPochhammer:
     def test_pentagonal_sum_equals_product(self, k):
         # the fast route for every eta factor against the product it replaces
         assert pentagonal_sum(1000, k).coeffs == pochhammer_series(k, k, 1000).coeffs
+
+    @pytest.mark.parametrize("precision, k", [(6, 0), (6, -2), (-1, 1), (-2, 3)])
+    def test_pentagonal_sum_rejects_bad_arguments(self, precision, k):
+        with pytest.raises(ValueError):
+            pentagonal_sum(precision, k)
+
+    def test_pentagonal_terms(self):
+        assert pentagonal_terms(16) == [(0, 1), (1, -1), (2, -1), (5, 1), (7, 1),
+                                        (12, -1), (15, -1)]
+        assert pentagonal_terms(15, 3) == [(0, 1), (3, -1), (6, -1)]
+        assert pentagonal_terms(0) == []
+
+
+class TestEulerDivision:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    @pytest.mark.parametrize("times", [1, 3])
+    def test_division_undoes_multiplication(self, k, times):
+        g = pochhammer_series(2, 3, 200)
+        divided = divide_by_eta(g, k, times)
+        assert (divided * pentagonal_sum(200, k).power(times)).coeffs == g.coeffs
+
+    def test_partition_numbers(self):
+        assert divide_by_eta(QSeries.one(10), 1).coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30)
+
+    def test_zero_times_and_short_series(self):
+        g = QSeries((3, -1, 4))
+        assert divide_by_eta(g, 2, 0).coeffs == g.coeffs
+        assert divide_by_eta(g, 5).coeffs == g.coeffs
+        assert divide_by_eta(QSeries(()), 1).coeffs == ()
+
+    def test_keeps_the_modulus(self):
+        g = pentagonal_sum(80, 2).power(5)
+        reduced = divide_by_eta(QSeries(g.coeffs, 5), 1, 4)
+        assert reduced.modulus == 5
+        assert reduced.coeffs == tuple(c % 5 for c in divide_by_eta(g, 1, 4).coeffs)
+
+    @pytest.mark.parametrize("args", [(-1, 1), (1, -1)])
+    def test_rejects_bad_arguments(self, args):
+        k, times = args
+        with pytest.raises(ValueError):
+            divide_by_eta(QSeries.one(5), k, times)
 
 
 class TestArithmetic:
@@ -126,8 +170,36 @@ class TestConvolutionRoutes:
         n = min(len(a), len(b))
         assert _convolve(a, b, n, modulus) == [v % modulus for v in _convolve(a, b, n)]
 
+    def test_nonnegative_operands_pack_once(self, monkeypatch):
+        packed = []
+        pack = series._pack
+
+        def recording_pack(values, width):
+            packed.append(list(values))
+            return pack(values, width)
+
+        monkeypatch.setattr(series, "_pack", recording_pack)
+        a, b = [3, 0, 4] * 20, [1, -2, 0] * 20
+        assert _convolve_packed(a, b, 60) == _convolve_schoolbook(a, b, 60)
+        # a once; b by its positive and its negative part
+        assert packed == [a, [1, 0, 0] * 20, [0, 2, 0] * 20]
+
 
 class TestReducedSeries:
+    def test_product_is_reduced_once(self, monkeypatch):
+        reductions = []
+        convolve = series._convolve
+
+        def recording_convolve(a, b, n, modulus=None):
+            reductions.append(modulus)
+            return convolve(a, b, n, modulus)
+
+        monkeypatch.setattr(series, "_convolve", recording_convolve)
+        a = QSeries(tuple(range(60)), 7)
+        want = tuple(v % 7 for v in _convolve_schoolbook(a.coeffs, a.coeffs, 60))
+        assert (a * a).coeffs == want
+        assert reductions == [None]
+
     def test_coefficients_are_reduced(self):
         s = QSeries((7, -1, 12, 0), 5)
         assert s.coeffs == (2, 4, 2, 0)
