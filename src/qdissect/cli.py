@@ -157,12 +157,23 @@ def _exit_code(reports: list, precision: int) -> int:
     return EXIT_OK
 
 
+class _Labels(dict):
+    """Component labels by member, each rendered on first use."""
+
+    def __missing__(self, member):
+        label = self[member] = comb.star_label(member)
+        return label
+
+
 def _table(args, family: str, t: Optional[int]) -> int:
     t = comb.family_t(family, t)
     vectors = comb.enumerate_vectors(family, t, args.n, allow_large=args.allow_large)
     dist = {}
     for v in vectors:
         dist[v.statistic] = dist.get(v.statistic, 0) + v.weight
+    # a table repeats few distinct members many times: render each once
+    labels = _Labels()
+    rendered = [v.render_components(labels.__getitem__) for v in vectors]
     summary = comb.residue_classes(dist, args.modulus)
     if args.format == "json":
         payload = {
@@ -171,11 +182,11 @@ def _table(args, family: str, t: Optional[int]) -> int:
             "n": args.n,
             "vectors": [
                 {
-                    "components": v.render_components(),
+                    "components": components,
                     "weight": v.weight,
                     "statistic": v.statistic,
                 }
-                for v in vectors
+                for v, components in zip(vectors, rendered)
             ],
             "residue_classes": {str(k): str(c) for k, c in enumerate(summary)},
             "total": str(sum(dist.values())),
@@ -185,9 +196,8 @@ def _table(args, family: str, t: Optional[int]) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["family", "t", "n", "components", "weight", "statistic"])
-        for v in vectors:
-            writer.writerow([family, t, args.n,
-                             v.render_components(), v.weight, v.statistic])
+        for v, components in zip(vectors, rendered):
+            writer.writerow([family, t, args.n, components, v.weight, v.statistic])
         writer.writerow([])
         writer.writerow(["residue", "weighted_count"])
         for k, c in enumerate(summary):

@@ -157,8 +157,9 @@ class VectorPartition:
     weight: int
     statistic: int
 
-    def render_components(self) -> str:
-        return ";".join(star_label(c) for c in self.components)
+    def render_components(self, label: Callable = star_label) -> str:
+        """The components' labels joined by ";"; ``label`` renders one member."""
+        return ";".join(map(label, self.components))
 
 
 def family_t(family: str, t: Optional[int]) -> int:

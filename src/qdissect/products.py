@@ -9,6 +9,11 @@ recurrence (``series.divide_by_eta``); taken mod M, and for any
 denominator factor that is not an eta factor, it inverts the product of
 the denominator by Newton iteration (every factor is a unit with
 constant term 1).  A univariate expansion mod M gives exact residues.
+
+A bivariate expansion packs each q-degree row of its z-factors into one
+big integer of z-lanes (Kronecker substitution along z), so that each
+factor (1 - z^e q^k) costs one lane rotation and one addition per row;
+its z-free factors are a univariate expansion that multiplies each lane.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bivariate import BivariateSeries
-from .series import QSeries, divide_by_eta, pentagonal_sum, pochhammer_series, product
+from .series import (QSeries, _convolve, divide_by_eta, pentagonal_sum,
+                     pochhammer_series, product)
 
 
 @dataclass(frozen=True)
@@ -104,50 +110,112 @@ def expand_univariate(
     return result
 
 
+def _eta_form(q_offset: int, q_step: int, exponent: int) -> list:
+    """(q^a; q^b)^e as factors, with (q^a; q^2a) = f_a / f_2a written as eta
+    factors so that its expansion stays on Euler's division."""
+    if q_step == 2 * q_offset:
+        return [f(q_offset, exponent), f(q_step, -exponent)]
+    return [Factor(q_offset, q_step, exponent)]
+
+
+def _lane_width(z_factors, precision: int) -> int:
+    """Bits per z-lane: the bit length of the largest coefficient below
+    q^precision of the z-part's "absolute" product.
+
+    Set z = 1 and make every sign positive: a division (z^e q^a; q^b)^-k
+    becomes (q^a; q^b)^-k, and a numerator (z^e q^a; q^b)^k becomes
+    (-q^a; q^b)^k = (q^2a; q^2b)^k / (q^a; q^b)^k.  Every factor
+    1/(1 - q^j) and 1 + q^j of that product has nonnegative coefficients
+    and constant term 1, so the coefficients of any partial product are
+    bounded by those of the whole.  The packed P and Q arrays of
+    ``expand_bivariate`` hold sums of such nonnegative terms: the q^n
+    coefficient of P + Q summed over all lanes (folding keeps the sum) is
+    that of a partial absolute product, so no lane exceeds it.
+    """
+    parts = []
+    for fac in z_factors:
+        if fac.exponent > 0:
+            parts += _eta_form(2 * fac.q_offset, 2 * fac.q_step, fac.exponent)
+        parts += _eta_form(fac.q_offset, fac.q_step, -abs(fac.exponent))
+    absolute = expand_univariate(ProductSpec(tuple(parts)), precision)
+    return max(absolute.coeffs).bit_length()
+
+
 def expand_bivariate(
     spec: ProductSpec, precision: int, z_mod: Optional[int] = None
 ) -> BivariateSeries:
     """Expand with the z marker kept.
 
     With ``z_mod`` set, z-exponents are reduced modulo it throughout,
-    i.e. the expansion is taken in Z[z]/(z^z_mod - 1).  Residue buckets
-    of the reduced series agree with those of the full series, which
-    keeps equidistribution checks cheap at large precision.
+    i.e. the expansion is taken in Z[z]/(z^z_mod - 1), and the series
+    records that fold.  Residue buckets modulo a divisor of ``z_mod``
+    agree with those of the full series, which keeps equidistribution
+    checks cheap at large precision.
+
+    Each q-degree row of the z-factors' product is one nonnegative int of
+    m lanes of ``width`` bits (``_lane_width``), lane i holding the
+    coefficient of z^i, exponents taken mod m: m = ``z_mod``, or 2E + 1
+    when E bounds |z-exponent| below q^precision, so that nothing wraps.
+    Multiplying a row by z^e rotates its lanes by e mod m, so dividing by
+    (1 - z^e q^k) is one rotate-and-add per row.  A numerator factor
+    (1 - z^e q^k) has a minus sign: the value is P - Q lane by lane, and
+    the factor adds the rotated Q to P and the rotated P to Q.  The z-free
+    factors, the scalar and the q-shift multiply the unpacked lanes.
     """
     if precision < 0:
         raise ValueError("precision must be >= 0")
-    rows = [dict() for _ in range(precision)]
-    if precision == 0:
-        return BivariateSeries(())
-
-    def reduce_exp(e: int) -> int:
-        return e % z_mod if z_mod else e
-
-    if spec.q_shift < precision:
-        rows[spec.q_shift][reduce_exp(spec.z_shift)] = spec.scalar
-
-    for fac in spec.factors:
+    if z_mod is not None and z_mod < 1:
+        raise ValueError("z_mod must be >= 1")
+    n = precision - spec.q_shift  # q-degrees of the packed product
+    if n <= 0:
+        return BivariateSeries(tuple({} for _ in range(precision)), z_mod)
+    z_factors = [fac for fac in spec.factors if fac.z_exp]
+    reach = abs(spec.z_shift) + max(
+        (abs(fac.z_exp) * (n - 1) // fac.q_offset for fac in z_factors), default=0)
+    m = z_mod or 2 * reach + 1
+    width = _lane_width(z_factors, n)
+    mask = (1 << m * width) - 1
+    P = [0] * n
+    P[0] = 1 << (spec.z_shift % m) * width
+    Q = [0] * n if any(fac.exponent > 0 for fac in z_factors) else None
+    for fac in z_factors:
+        left = fac.z_exp % m * width  # multiplying by z^e rotates by e mod m
+        right = m * width - left
         for _ in range(abs(fac.exponent)):
-            for k in range(fac.q_offset, precision, fac.q_step):
-                eps = fac.z_exp
-                if fac.exponent > 0:
-                    # multiply by (1 - z^eps q^k); descending keeps the
-                    # source rows untouched until they are consumed
-                    for n in range(precision - 1, k - 1, -1):
-                        target = rows[n]
-                        for e, c in rows[n - k].items():
-                            e2 = reduce_exp(e + eps)
-                            target[e2] = target.get(e2, 0) - c
+            for k in range(fac.q_offset, n, fac.q_step):
+                if fac.exponent < 0:
+                    # divide by (1 - z^e q^k): ascending, row i reads the new row i - k
+                    for rows in (P,) if Q is None else (P, Q):
+                        for i in range(k, n):
+                            x = rows[i - k]
+                            rows[i] += ((x << left) & mask) | (x >> right)
                 else:
-                    # divide: geometric-series recurrence, ascending
-                    for n in range(k, precision):
-                        target = rows[n]
-                        for e, c in rows[n - k].items():
-                            e2 = reduce_exp(e + eps)
-                            target[e2] = target.get(e2, 0) + c
-    return BivariateSeries(
-        tuple({e: c for e, c in row.items() if c} for row in rows)
-    )
+                    # multiply by (1 - z^e q^k): descending, row i reads the old row i - k
+                    for i in range(n - 1, k - 1, -1):
+                        p, q = P[i - k], Q[i - k]
+                        P[i] += ((q << left) & mask) | (q >> right)
+                        Q[i] += ((p << left) & mask) | (p >> right)
+
+    lane_mask = (1 << width) - 1
+    nbytes = (m * width + 7) // 8
+    starts = range(0, m * width, width)
+
+    def unpack(x):
+        raw = x.to_bytes(nbytes, "little")
+        return [(int.from_bytes(raw[b >> 3:(b + width + 7) >> 3], "little") >> (b & 7))
+                & lane_mask for b in starts]
+
+    lanes = list(zip(*map(unpack, P)))
+    if Q is not None:
+        lanes = [[p - q for p, q in zip(pl, ql)]
+                 for pl, ql in zip(lanes, zip(*map(unpack, Q)))]
+    z_free = expand_univariate(
+        ProductSpec(tuple(fac for fac in spec.factors if not fac.z_exp), spec.scalar), n)
+    lanes = [_convolve(lane, z_free.coeffs, n) if any(lane) else lane for lane in lanes]
+    keys = range(m) if z_mod else [i if i <= reach else i - m for i in range(m)]
+    rows = [{} for _ in range(spec.q_shift)] + [
+        {key: c for key, c in zip(keys, row) if c} for row in zip(*lanes)]
+    return BivariateSeries(tuple(rows), z_mod)
 
 
 def expand(

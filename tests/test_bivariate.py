@@ -1,7 +1,12 @@
 import pytest
 
 from qdissect.bivariate import BivariateSeries
-from qdissect.combinatorics import kim_star_spec, multirank_spec, vector_crank_spec
+from qdissect.combinatorics import (
+    kim_star_spec,
+    multirank_spec,
+    series_counts,
+    vector_crank_spec,
+)
 from qdissect.products import expand_bivariate
 from qdissect.series import QSeries
 
@@ -66,3 +71,32 @@ class TestSymmetry:
 
     def test_asymmetric_detected(self):
         assert not BivariateSeries(({0: 1}, {1: 1})).is_z_symmetric()
+
+
+class TestFoldedSeries:
+    def test_fold_is_recorded(self):
+        assert series_counts("V", 4, 12, z_mod=5).z_mod == 5
+        assert series_counts("V", 4, 12).z_mod is None
+
+    def test_buckets_only_modulo_a_divisor_of_the_fold(self):
+        folded = series_counts("V", 4, 12, z_mod=5)
+        with pytest.raises(ValueError):
+            folded.residue_buckets(3)
+        full = series_counts("V", 4, 12)
+        for m in (1, 5):
+            assert folded.residue_buckets(m) == full.residue_buckets(m)
+        assert full.residue_buckets(3)[0].coeffs[:4] == (1, 0, 3, 8)
+
+    def test_folded_symmetry(self):
+        assert series_counts("V", 4, 12, z_mod=5).is_z_symmetric()
+        assert series_counts("W2", None, 12, z_mod=7).is_z_symmetric()
+        assert not BivariateSeries(({0: 1}, {1: 1}), z_mod=5).is_z_symmetric()
+        assert BivariateSeries(({0: 1}, {1: 1, 4: 1}), z_mod=5).is_z_symmetric()
+
+    def test_folded_coefficient_reads_the_residue(self):
+        folded = series_counts("W2", None, 12, z_mod=7)
+        full = series_counts("W2", None, 12)
+        for n in range(12):
+            assert folded.coefficient(n, -1) == folded.coefficient(n, 6)
+            assert folded.coefficient(n, -1) == sum(
+                c for e, c in full.z_coefficients(n).items() if e % 7 == 6)

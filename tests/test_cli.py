@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -189,6 +191,23 @@ class TestTables:
             assert f"{k},4" in lines
         assert "total,20" in lines
         assert sum("[];[3];[];[];[];[];[]" in line for line in lines) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_each_member_label_rendered_once(self, capsys, monkeypatch, fmt):
+        from qdissect import combinatorics as comb
+        labelled = []
+        star_label = comb.star_label
+        monkeypatch.setattr(comb, "star_label",
+                            lambda member: labelled.append(member) or star_label(member))
+        code, out, _ = run(capsys, "cranktable", "--n", "5", "--format", fmt)
+        assert code == 0
+        assert len(labelled) == len(set(labelled))
+        want = [v.render_components() for v in comb.enumerate_vectors("W2", None, 5)]
+        if fmt == "json":
+            got = [v["components"] for v in json.loads(out)["vectors"]]
+        else:
+            got = [row[3] for row in list(csv.reader(io.StringIO(out)))[1:len(want) + 1]]
+        assert got == want
 
     def test_ranktable_requires_t(self, capsys):
         code, _, err = run(capsys, "ranktable", "--family", "V", "--n", "3")

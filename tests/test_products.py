@@ -4,9 +4,11 @@ from hypothesis import strategies as st
 
 from qdissect import theta
 from qdissect.bivariate import BivariateSeries
+from qdissect.combinatorics import kim_star_spec, multirank_spec, vector_crank_spec
 from qdissect.products import (
     Factor,
     ProductSpec,
+    _lane_width,
     eta_quotient,
     expand,
     expand_bivariate,
@@ -187,3 +189,95 @@ class TestBivariateExpansion:
         assert isinstance(expand(W4, 5, z_mod=3), BivariateSeries)
         spec = ProductSpec((Factor(1, 1, -1, z_exp=1),))
         assert isinstance(expand(spec, 5), BivariateSeries)
+
+
+def dict_route(spec, precision, z_mod=None):
+    """The reference the packed z-lanes replaced: every row a dict from
+    z-exponent to coefficient, updated entry by entry, one factor
+    (1 - z^e q^k) at a time.  Returns the rows of nonzero entries."""
+    rows = [dict() for _ in range(precision)]
+
+    def reduce_exp(e):
+        return e % z_mod if z_mod else e
+
+    if spec.q_shift < precision:
+        rows[spec.q_shift][reduce_exp(spec.z_shift)] = spec.scalar
+    for fac in spec.factors:
+        for _ in range(abs(fac.exponent)):
+            for k in range(fac.q_offset, precision, fac.q_step):
+                # multiply: descending keeps the source rows untouched until
+                # they are consumed; divide: the ascending geometric recurrence
+                degrees = (range(precision - 1, k - 1, -1) if fac.exponent > 0
+                           else range(k, precision))
+                sign = -1 if fac.exponent > 0 else 1
+                for n in degrees:
+                    target = rows[n]
+                    for e, c in rows[n - k].items():
+                        e2 = reduce_exp(e + fac.z_exp)
+                        target[e2] = target.get(e2, 0) + sign * c
+    return tuple({e: c for e, c in row.items() if c} for row in rows)
+
+
+factors = st.lists(st.builds(Factor, st.integers(1, 3), st.integers(1, 3),
+                             st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-2, 3)),
+                   max_size=4).map(tuple)
+specs = st.builds(ProductSpec, factors, scalar=st.integers(-3, 3),
+                  q_shift=st.integers(0, 3), z_shift=st.integers(-3, 3))
+Z_MODS = [None, 1, 2, 3, 5, 7]
+STATISTIC_SPECS = ([(f"V_{t}", multirank_spec(t)) for t in range(1, 11)]
+                   + [("W_2", vector_crank_spec()), ("kim", kim_star_spec())])
+
+
+class TestPackedLanes:
+    @given(spec=specs, precision=st.integers(0, 30), z_mod=st.sampled_from(Z_MODS))
+    @settings(max_examples=150, deadline=None)
+    def test_random_specs_match_the_dict_route(self, spec, precision, z_mod):
+        got = expand_bivariate(spec, precision, z_mod)
+        assert got.rows == dict_route(spec, precision, z_mod)
+        assert got.z_mod == z_mod
+
+    @pytest.mark.parametrize("name, spec", STATISTIC_SPECS)
+    @pytest.mark.parametrize("precision, z_mod", [(150, 5), (150, 7), (40, None)])
+    def test_statistic_specs_match_the_dict_route(self, name, spec, precision, z_mod):
+        assert expand_bivariate(spec, precision, z_mod).rows == dict_route(
+            spec, precision, z_mod)
+
+    @pytest.mark.parametrize("name, spec", STATISTIC_SPECS + [
+        ("signed", ProductSpec((Factor(1, 1, 2, z_exp=1), Factor(1, 2, -3, z_exp=-2),
+                                Factor(2, 3, -1, z_exp=3)), scalar=-2, z_shift=1))])
+    def test_one_lane_is_the_specialization_at_z_one(self, name, spec):
+        # with one lane every z-division adds into it, so a division-only
+        # spec fills the lane to the width bound itself
+        folded = expand_bivariate(spec, 60, z_mod=1)
+        want = expand_bivariate(spec, 60).specialize_z_one().coeffs
+        assert tuple(row.get(0, 0) for row in folded.rows) == want
+        assert all(set(row) <= {0} for row in folded.rows)
+
+    @given(z_factors=factors.map(lambda fs: tuple(fac for fac in fs if fac.z_exp)),
+           precision=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_lane_width_is_that_of_the_absolute_product(self, z_factors, precision):
+        # every factor 1 - z^e q^j taken as 1 + q^j, its inverse as 1/(1 - q^j)
+        absolute = [1] + [0] * (precision - 1)
+        for fac in z_factors:
+            for _ in range(abs(fac.exponent)):
+                for j in range(fac.q_offset, precision, fac.q_step):
+                    degrees = (range(precision - 1, j - 1, -1) if fac.exponent > 0
+                               else range(j, precision))
+                    for n in degrees:
+                        absolute[n] += absolute[n - j]
+        assert _lane_width(z_factors, precision) == max(absolute).bit_length()
+
+    @pytest.mark.parametrize("z_mod", [0, -3])
+    def test_rejects_z_mod_below_one(self, z_mod):
+        with pytest.raises(ValueError):
+            expand_bivariate(multirank_spec(4), 10, z_mod=z_mod)
+
+    def test_statistic_expansions_invert_nothing(self, monkeypatch):
+        calls = []
+        inverse = QSeries.inverse
+        monkeypatch.setattr(QSeries, "inverse", lambda s: calls.append(s) or inverse(s))
+        for _, spec in STATISTIC_SPECS:
+            expand_bivariate(spec, 100, z_mod=5)
+            expand_bivariate(spec, 30)
+        assert calls == []
