@@ -10,10 +10,14 @@ denominator factor that is not an eta factor, it inverts the product of
 the denominator by Newton iteration (every factor is a unit with
 constant term 1).  A univariate expansion mod M gives exact residues.
 
-A bivariate expansion packs each q-degree row of its z-factors into one
-big integer of z-lanes (Kronecker substitution along z), so that each
-factor (1 - z^e q^k) costs one lane rotation and one addition per row;
-its z-free factors are a univariate expansion that multiplies each lane.
+A bivariate expansion holds each q-degree row of its z-factors as one
+big integer modulo 2^(mW) - 1, the row's value at z = 2^W in
+Z[z]/(z^m - 1) (Kronecker substitution along z).  There z^m = 1, so
+multiplying by z^e is a rotation of the m lanes of W bits, exact for
+either sign, and each factor (1 - z^e q^k) costs one rotation and one
+addition or subtraction per row.  One sign bit above the coefficient
+bound makes each final row's balanced digits its lanes; the z-free
+factors are a univariate expansion that multiplies each lane.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bivariate import BivariateSeries
-from .series import (QSeries, _convolve, divide_by_eta, pentagonal_sum,
-                     pochhammer_series, product)
+from .series import (QSeries, _convolve, _unpack, divide_by_eta,
+                     pentagonal_sum, pochhammer_series, product)
 
 
 @dataclass(frozen=True)
@@ -119,18 +123,16 @@ def _eta_form(q_offset: int, q_step: int, exponent: int) -> list:
 
 
 def _lane_width(z_factors, precision: int) -> int:
-    """Bits per z-lane: the bit length of the largest coefficient below
-    q^precision of the z-part's "absolute" product.
+    """The bit length of the largest coefficient below q^precision of the
+    z-part's "absolute" product, which bounds every lane in magnitude.
 
     Set z = 1 and make every sign positive: a division (z^e q^a; q^b)^-k
     becomes (q^a; q^b)^-k, and a numerator (z^e q^a; q^b)^k becomes
-    (-q^a; q^b)^k = (q^2a; q^2b)^k / (q^a; q^b)^k.  Every factor
-    1/(1 - q^j) and 1 + q^j of that product has nonnegative coefficients
-    and constant term 1, so the coefficients of any partial product are
-    bounded by those of the whole.  The packed P and Q arrays of
-    ``expand_bivariate`` hold sums of such nonnegative terms: the q^n
-    coefficient of P + Q summed over all lanes (folding keeps the sum) is
-    that of a partial absolute product, so no lane exceeds it.
+    (-q^a; q^b)^k = (q^2a; q^2b)^k / (q^a; q^b)^k.  Coefficientwise, the
+    absolute values of a product are at most those of the product of the
+    absolute values, so the q^n coefficients of the z-part, summed in
+    absolute value over all z-exponents (folded or not), are at most that
+    of the absolute product.
     """
     parts = []
     for fac in z_factors:
@@ -152,15 +154,17 @@ def expand_bivariate(
     agree with those of the full series, which keeps equidistribution
     checks cheap at large precision.
 
-    Each q-degree row of the z-factors' product is one nonnegative int of
-    m lanes of ``width`` bits (``_lane_width``), lane i holding the
-    coefficient of z^i, exponents taken mod m: m = ``z_mod``, or 2E + 1
-    when E bounds |z-exponent| below q^precision, so that nothing wraps.
-    Multiplying a row by z^e rotates its lanes by e mod m, so dividing by
-    (1 - z^e q^k) is one rotate-and-add per row.  A numerator factor
-    (1 - z^e q^k) has a minus sign: the value is P - Q lane by lane, and
-    the factor adds the rotated Q to P and the rotated P to Q.  The z-free
-    factors, the scalar and the q-shift multiply the unpacked lanes.
+    Each q-degree row of the z-factors' product lies in Z[z]/(z^m - 1):
+    m = ``z_mod``, or 2E + 1 when E bounds |z-exponent| below q^precision,
+    so that nothing wraps.  A row is held as its value at z = 2^W, an int
+    taken modulo R = 2^(mW) - 1, where z^m = 1; there, multiplying by z^e
+    rotates the m lanes of W bits by e and is exact for either sign.  So
+    dividing by (1 - z^e q^k) adds the rotated row i - k to row i, and
+    multiplying by it subtracts.  W is ``_lane_width`` plus a sign bit,
+    in whole bytes: every final lane c_i has |c_i| < 2^(W-1), so the row's
+    value sum c_i 2^(iW) is the one residue in (-R/2, R/2], and its
+    balanced digits are the lanes.  The z-free factors, the scalar and
+    the q-shift multiply the decoded lanes.
     """
     if precision < 0:
         raise ValueError("precision must be >= 0")
@@ -173,49 +177,35 @@ def expand_bivariate(
     reach = abs(spec.z_shift) + max(
         (abs(fac.z_exp) * (n - 1) // fac.q_offset for fac in z_factors), default=0)
     m = z_mod or 2 * reach + 1
-    width = _lane_width(z_factors, n)
-    mask = (1 << m * width) - 1
-    P = [0] * n
-    P[0] = 1 << (spec.z_shift % m) * width
-    Q = [0] * n if any(fac.exponent > 0 for fac in z_factors) else None
+    width = (_lane_width(z_factors, n) + 8) // 8  # bytes per lane, sign bit included
+    bits = 8 * width
+    ring = (1 << m * bits) - 1  # R, where 2^(mW) = z^m = 1
+    rows = [0] * n
+    rows[0] = 1 << spec.z_shift % m * bits
     for fac in z_factors:
-        left = fac.z_exp % m * width  # multiplying by z^e rotates by e mod m
-        right = m * width - left
+        left = fac.z_exp % m * bits  # multiplying by z^e rotates by e mod m
+        right = m * bits - left
         for _ in range(abs(fac.exponent)):
             for k in range(fac.q_offset, n, fac.q_step):
                 if fac.exponent < 0:
                     # divide by (1 - z^e q^k): ascending, row i reads the new row i - k
-                    for rows in (P,) if Q is None else (P, Q):
-                        for i in range(k, n):
-                            x = rows[i - k]
-                            rows[i] += ((x << left) & mask) | (x >> right)
+                    for i in range(k, n):
+                        x = rows[i - k]
+                        rows[i] += ((x << left) & ring) + (x >> right)
                 else:
                     # multiply by (1 - z^e q^k): descending, row i reads the old row i - k
                     for i in range(n - 1, k - 1, -1):
-                        p, q = P[i - k], Q[i - k]
-                        P[i] += ((q << left) & mask) | (q >> right)
-                        Q[i] += ((p << left) & mask) | (p >> right)
-
-    lane_mask = (1 << width) - 1
-    nbytes = (m * width + 7) // 8
-    starts = range(0, m * width, width)
-
-    def unpack(x):
-        raw = x.to_bytes(nbytes, "little")
-        return [(int.from_bytes(raw[b >> 3:(b + width + 7) >> 3], "little") >> (b & 7))
-                & lane_mask for b in starts]
-
-    lanes = list(zip(*map(unpack, P)))
-    if Q is not None:
-        lanes = [[p - q for p, q in zip(pl, ql)]
-                 for pl, ql in zip(lanes, zip(*map(unpack, Q)))]
+                        x = rows[i - k]
+                        rows[i] -= ((x << left) & ring) + (x >> right)
+    half = ring >> 1  # a row's residue in (-R/2, R/2] is its value at z = 2^W
+    lanes = zip(*(_unpack(r - ring if r > half else r, m, width)
+                  for r in (x % ring for x in rows)))
     z_free = expand_univariate(
         ProductSpec(tuple(fac for fac in spec.factors if not fac.z_exp), spec.scalar), n)
     lanes = [_convolve(lane, z_free.coeffs, n) if any(lane) else lane for lane in lanes]
     keys = range(m) if z_mod else [i if i <= reach else i - m for i in range(m)]
-    rows = [{} for _ in range(spec.q_shift)] + [
-        {key: c for key, c in zip(keys, row) if c} for row in zip(*lanes)]
-    return BivariateSeries(tuple(rows), z_mod)
+    return BivariateSeries(tuple([{} for _ in range(spec.q_shift)] + [
+        {key: c for key, c in zip(keys, row) if c} for row in zip(*lanes)]), z_mod)
 
 
 def expand(

@@ -53,6 +53,28 @@ def _pack_signed(values: Sequence[int], width: int) -> int:
     )
 
 
+def _unpack(x: int, count: int, width: int) -> list:
+    """The lowest ``count`` balanced digits of ``x`` in base 2^(8*width),
+    lowest first: packed signed values d with |d| < 2^(8*width - 1) come
+    back unchanged."""
+    magnitude = -x if x < 0 else x
+    nbytes = max((magnitude.bit_length() + 7) // 8, count * width)
+    raw = magnitude.to_bytes(nbytes, "little")
+    half = 1 << (8 * width - 1)
+    full = half << 1
+    out = []
+    carry = 0
+    for i in range(count):
+        v = int.from_bytes(raw[i * width : (i + 1) * width], "little") + carry
+        if v >= half:
+            v -= full
+            carry = 1
+        else:
+            carry = 0
+        out.append(v)
+    return [-v for v in out] if x < 0 else out
+
+
 def _convolve_packed(a: Sequence[int], b: Sequence[int], out_len: int) -> list:
     """Convolution via Kronecker substitution.
 
@@ -72,29 +94,8 @@ def _convolve_packed(a: Sequence[int], b: Sequence[int], out_len: int) -> list:
         + min(len(a), len(b)).bit_length()
         + 2
     )
-    bits = ((bits + 7) // 8) * 8
-    width = bits // 8
-
-    product = _pack_signed(a, width) * _pack_signed(b, width)
-
-    negate = product < 0
-    magnitude = -product if negate else product
-    nbytes = max((magnitude.bit_length() + 7) // 8, out_len * width)
-    raw = magnitude.to_bytes(nbytes, "little")
-
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    out = []
-    carry = 0
-    for i in range(out_len):
-        v = int.from_bytes(raw[i * width : (i + 1) * width], "little") + carry
-        if v >= half:
-            v -= full
-            carry = 1
-        else:
-            carry = 0
-        out.append(-v if negate else v)
-    return out
+    width = (bits + 7) // 8
+    return _unpack(_pack_signed(a, width) * _pack_signed(b, width), out_len, width)
 
 
 def _convolve(
@@ -138,8 +139,8 @@ class QSeries:
         return len(self.coeffs)
 
     @classmethod
-    def zero(cls, precision: int) -> "QSeries":
-        return cls((0,) * precision)
+    def zero(cls, precision: int, modulus: Optional[int] = None) -> "QSeries":
+        return cls((0,) * precision, modulus)
 
     @classmethod
     def one(cls, precision: int, modulus: Optional[int] = None) -> "QSeries":
@@ -278,26 +279,22 @@ class SeriesComparison:
     right: Optional[int] = None
 
 
-def equal_upto(
-    a: QSeries, b: QSeries, n: int, modulus: Optional[int] = None
-) -> SeriesComparison:
-    """Compare coefficients for 0 <= i < n, optionally modulo ``modulus``.
+def equal_upto(a: QSeries, b: QSeries, n: int) -> SeriesComparison:
+    """Compare coefficients for 0 <= i < n; residues mod M compare as
+    residues.
 
-    Comparing unknown coefficients is a hard error, never a silent pass.
+    Comparing unknown coefficients, or series over different rings, is a
+    hard error, never a silent pass.
     """
+    a._common_modulus(b)
     if n > min(a.precision, b.precision):
         raise ValueError(
             f"cannot compare {n} coefficients: precisions are "
             f"{a.precision} and {b.precision}"
         )
     for i in range(n):
-        x, y = a.coeffs[i], b.coeffs[i]
-        if modulus is not None:
-            if (x - y) % modulus == 0:
-                continue
-        elif x == y:
-            continue
-        return SeriesComparison(False, i, x, y)
+        if a.coeffs[i] != b.coeffs[i]:
+            return SeriesComparison(False, i, a.coeffs[i], b.coeffs[i])
     return SeriesComparison(True)
 
 

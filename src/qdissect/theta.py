@@ -202,39 +202,40 @@ class Dissect:
     residue: int
 
 
-def evaluate(node, precision: int) -> QSeries:
-    """Expand an expression tree to exactly ``precision`` coefficients."""
+def evaluate(node, precision: int, modulus: Optional[int] = None) -> QSeries:
+    """Expand an expression tree to exactly ``precision`` coefficients, as
+    residues mod ``modulus`` when one is given."""
     if precision < 0:
         raise ValueError("precision must be >= 0")
     if isinstance(node, Const):
-        return QSeries.one(precision).scale(node.value)
+        return QSeries.one(precision, modulus).scale(node.value)
     if isinstance(node, Ref):
-        return build(node.name, precision, node.param)
+        return build(node.name, precision, node.param, modulus)
     if isinstance(node, Quot):
-        return expand_univariate(node.spec, precision)
+        return expand_univariate(node.spec, precision, modulus)
     if isinstance(node, Sum):
-        result = QSeries.zero(precision)
+        result = QSeries.zero(precision, modulus)
         for term in node.terms:
-            result = result + evaluate(term, precision)
+            result = result + evaluate(term, precision, modulus)
         return result
     if isinstance(node, Mul):
-        return product((evaluate(f, precision) for f in node.factors), precision)
+        return product((evaluate(f, precision, modulus) for f in node.factors),
+                       precision, modulus)
     if isinstance(node, Scale):
-        return evaluate(node.inner, precision).scale(node.scalar)
+        return evaluate(node.inner, precision, modulus).scale(node.scalar)
     if isinstance(node, Shift):
         if node.exponent >= precision:
-            return QSeries.zero(precision)
-        return evaluate(node.inner, precision - node.exponent).shift(node.exponent)
+            return QSeries.zero(precision, modulus)
+        inner = evaluate(node.inner, precision - node.exponent, modulus)
+        return inner.shift(node.exponent)
     if isinstance(node, Sub):
         k = node.exponent
-        inner_precision = -(-precision // k)
-        return evaluate(node.inner, inner_precision).substitute_power(k).truncate(
-            precision
-        )
+        inner = evaluate(node.inner, -(-precision // k), modulus)
+        return inner.substitute_power(k).truncate(precision)
     if isinstance(node, Pow):
-        return evaluate(node.inner, precision).power(node.exponent)
+        return evaluate(node.inner, precision, modulus).power(node.exponent)
     if isinstance(node, Dissect):
-        inner = evaluate(node.inner, node.modulus * precision)
+        inner = evaluate(node.inner, node.modulus * precision, modulus)
         return inner.dissect(node.modulus, node.residue)
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -475,15 +476,16 @@ def catalog_summaries() -> list:
 def verify_entry(
     entry: IdentityEntry, precision: Optional[int] = None
 ) -> IdentityReport:
-    """Evaluate both sides and compare coefficientwise."""
+    """Evaluate both sides, mod the entry's modulus when it has one, and
+    compare coefficientwise."""
     if precision is None:
         precision = entry.default_precision
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     start = time.perf_counter()
-    lhs = evaluate(entry.lhs, precision)
-    rhs = evaluate(entry.rhs, precision)
-    cmp = equal_upto(lhs, rhs, precision, modulus=entry.modulus)
+    lhs = evaluate(entry.lhs, precision, entry.modulus)
+    rhs = evaluate(entry.rhs, precision, entry.modulus)
+    cmp = equal_upto(lhs, rhs, precision)
     millis = (time.perf_counter() - start) * 1000.0
     status = "pass" if cmp.equal else "fail"  # an equal comparison has no mismatch
     return IdentityReport(entry.id, status, precision, mismatch_index=cmp.index,

@@ -220,7 +220,8 @@ def check_relation_chl(n_max: int = 150, precision: int = DEFAULT_PRECISION) -> 
 
 
 def check_oracle_agreement(
-    family: str, t: Optional[int], n_limit: int = ENUM_CHECK_LIMIT
+    family: str, t: Optional[int], n_limit: int = ENUM_CHECK_LIMIT,
+    precision: Optional[int] = None,
 ) -> Report:
     """Enumeration distributions vs generating-function z-coefficients,
     plus symmetry, totals, and (for V) nonnegativity."""
@@ -247,7 +248,7 @@ def check_oracle_agreement(
         f"{fam}: enumeration = gf coefficients, symmetric, totals w(n), n <= {n_limit}"
     )
     return _run_check(Check("oracle-" + fam.lower(), "oracle", statement, n_limit + 1,
-                            f"n <= {n_limit}", body, n_limit + 1))
+                            f"n <= {n_limit}", body, n_limit + 1), precision)
 
 
 def check_table_v4_n3() -> Report:
@@ -391,7 +392,7 @@ def run_suite(
     items.append(("chl-relation", partial(check_relation_chl, 150, precision), "pass"))
     items.append(("table-v4-n3", check_table_v4_n3, "pass"))
     items += [("oracle-" + _family_name(f, t).lower(),
-               partial(check_oracle_agreement, f, t, enum_limit), "pass")
+               partial(check_oracle_agreement, f, t, enum_limit, precision), "pass")
               for f, t in (("V", 1), ("V", 2), ("V", 4), ("V", 5), ("W2", None))]
     reports = [_apply_expectation(run(), expect)
                for item_id, run, expect in items if _matches(item_id, name_filter)]

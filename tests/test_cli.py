@@ -173,6 +173,13 @@ class TestSuite:
         assert {r["status"] for r in reports} == {"skipped"}
         assert f"precision {needed} runs every skipped check" in err
 
+    def test_oracle_checks_below_their_precision_exit_2(self, capsys):
+        code, out, err = run(capsys, "suite", "--filter", "oracle", "--precision", "5",
+                             "--format", "json")
+        assert code == 2
+        assert [r["status"] for r in json.loads(out)] == ["skipped"] * 5
+        assert "precision 11 runs every skipped check" in err
+
     def test_filter_matching_nothing_is_usage_error(self, capsys):
         code, out, err = run(capsys, "suite", "--precision", "10",
                              "--filter", "none-such")

@@ -10,6 +10,8 @@ from qdissect.series import (
     _convolve,
     _convolve_packed,
     _convolve_schoolbook,
+    _pack_signed,
+    _unpack,
     divide_by_eta,
     equal_upto,
     pentagonal_sum,
@@ -155,6 +157,14 @@ class TestConvolutionRoutes:
         n = min(len(a), len(b))
         assert _convolve_packed(a, b, n) == _convolve_schoolbook(a, b, n)
 
+    @given(data=st.data(), width=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_unpack_inverts_signed_packing(self, data, width):
+        bound = 1 << (8 * width - 1)
+        digits = data.draw(st.lists(st.integers(-bound + 1, bound - 1), min_size=1,
+                                    max_size=20))
+        assert _unpack(_pack_signed(digits, width), len(digits), width) == digits
+
     def test_packed_zero_operand(self):
         assert _convolve_packed([0] * 60, [1] * 60, 60) == [0] * 60
 
@@ -289,9 +299,15 @@ class TestEqualUpto:
         assert not cmp.equal
         assert (cmp.index, cmp.left, cmp.right) == (1, 2, 5)
 
-    def test_modulus(self):
-        assert equal_upto(QSeries((1, 9)), QSeries((1, 2)), 2, modulus=7).equal
-        assert not equal_upto(QSeries((1, 9)), QSeries((1, 3)), 2, modulus=7).equal
+    def test_residues_compare_exactly(self):
+        assert equal_upto(QSeries((1, 9), 7), QSeries((1, 2), 7), 2).equal
+        cmp = equal_upto(QSeries((1, 9), 7), QSeries((1, 3), 7), 2)
+        assert (cmp.equal, cmp.index, cmp.left, cmp.right) == (False, 1, 2, 3)
+
+    @pytest.mark.parametrize("moduli", [(7, None), (None, 7), (3, 7)])
+    def test_mixed_moduli_are_an_error(self, moduli):
+        with pytest.raises(ValueError):
+            equal_upto(QSeries((1, 2), moduli[0]), QSeries((1, 2), moduli[1]), 2)
 
     def test_unknown_coefficients_are_an_error(self):
         with pytest.raises(ValueError):

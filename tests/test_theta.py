@@ -137,9 +137,9 @@ class TestEvaluator:
         calls = []
         original = theta.build
 
-        def recording(name, precision, param=None):
+        def recording(name, precision, param=None, modulus=None):
             calls.append((name, precision, param))
-            return original(name, precision, param)
+            return original(name, precision, param, modulus)
 
         monkeypatch.setattr(theta, "build", recording)
         assert len(evaluate(node, 40).coeffs) == 40
@@ -188,6 +188,15 @@ class TestCatalog:
         assert report.status == "fail"
         assert report.mismatch_index == 1
         assert (report.mismatch_left, report.mismatch_right) == (-1, 0)
+
+    def test_broken_modular_entry_reports_residues(self):
+        entry = theta.IdentityEntry(
+            "broken", "f1 == f2 (mod 3) (false)", Ref("f", 1), Ref("f", 2), modulus=3
+        )
+        report = verify_entry(entry, 10)
+        assert report.status == "fail"
+        assert report.mismatch_index == 1
+        assert (report.mismatch_left, report.mismatch_right) == (2, 0)
 
 
 class TestDissectionRecombination:
@@ -238,6 +247,15 @@ class TestModularRoute:
         integer = build(series, 2000, t)
         for m in moduli:
             reduced = build(series, 2000, t, m)
+            assert reduced.modulus == m
+            assert reduced.coeffs == tuple(c % m for c in integer.coeffs)
+
+    @pytest.mark.parametrize("side", [side for e in catalog() for side in (e.lhs, e.rhs)],
+                             ids=[f"{e.id}-{s}" for e in catalog() for s in ("lhs", "rhs")])
+    def test_every_catalog_side_evaluates_to_its_reduced_integer_value(self, side):
+        integer = evaluate(side, 60)
+        for m in (3, 5, 7):
+            reduced = evaluate(side, 60, m)
             assert reduced.modulus == m
             assert reduced.coeffs == tuple(c % m for c in integer.coeffs)
 

@@ -1,0 +1,39 @@
+"""The benchmark's trace hooks stay attached to the program.
+
+``perfbench/tracing.py`` skips an entry point it cannot find, so that a
+refactored program still runs traced; here such a skip is a failure, so
+that no span or count vanishes from traced runs unnoticed.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_hook_is_installed():
+    tracer = load_tracing().Tracer()
+    requested, missing = [], []
+    patch = tracer.patch
+
+    def recording_patch(owner, attr, *args, **kwargs):
+        before = getattr(owner, attr, None)
+        patch(owner, attr, *args, **kwargs)
+        requested.append(attr)
+        if getattr(owner, attr, None) is before:
+            missing.append(f"{owner.__name__}.{attr}")
+
+    tracer.patch = recording_patch
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert requested
+    assert missing == [], f"{len(missing)} of {len(requested)} trace hooks not installed"

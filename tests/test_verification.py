@@ -172,6 +172,11 @@ class TestSuite:
         # plenty must actually be skipped at precision 10
         assert sum(r.status == "skipped" for r in reports) >= 10
 
+    def test_oracle_checks_skip_below_their_precision(self):
+        reports = run_suite(precision=10, name_filter="oracle")
+        assert [(r.status, r.detail) for r in reports] == [
+            ("skipped", "needs precision 11, have 10")] * 5
+
     def test_deterministic_order(self):
         a = [(r.id, r.status) for r in run_suite(precision=10, enum_limit=4)]
         b = [(r.id, r.status) for r in run_suite(precision=10, enum_limit=4)]
