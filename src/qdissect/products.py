@@ -10,14 +10,14 @@ denominator factor that is not an eta factor, it inverts the product of
 the denominator by Newton iteration (every factor is a unit with
 constant term 1).  A univariate expansion mod M gives exact residues.
 
-A bivariate expansion holds each q-degree row of its z-factors as one
-big integer modulo 2^(mW) - 1, the row's value at z = 2^W in
-Z[z]/(z^m - 1) (Kronecker substitution along z).  There z^m = 1, so
-multiplying by z^e is a rotation of the m lanes of W bits, exact for
-either sign, and each factor (1 - z^e q^k) costs one rotation and one
-addition or subtraction per row.  One sign bit above the coefficient
-bound makes each final row's balanced digits its lanes; the z-free
-factors are a univariate expansion that multiplies each lane.
+A bivariate expansion holds each q-degree row as one big integer
+modulo 2^(mW) - 1, the row's value at z = 2^W in Z[z]/(z^m - 1)
+(Kronecker substitution along z).  There z^m = 1, so multiplying by z^e
+is a rotation of the m lanes of W bits, exact for either sign, and each
+factor (1 - z^e q^k) costs one rotation and one addition or subtraction
+per row.  The rows start as the univariate expansion of the z-free
+factors, so no lane is multiplied afterwards.  One sign bit above the
+coefficient bound makes each final row's balanced digits its lanes.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bivariate import BivariateSeries
-from .series import (QSeries, _convolve, _unpack, divide_by_eta,
-                     pentagonal_sum, pochhammer_series, product)
+from .series import (QSeries, _unpack, divide_by_eta, pentagonal_sum,
+                     pochhammer_series, product)
 
 
 @dataclass(frozen=True)
@@ -122,25 +122,27 @@ def _eta_form(q_offset: int, q_step: int, exponent: int) -> list:
     return [Factor(q_offset, q_step, exponent)]
 
 
-def _lane_width(z_factors, precision: int) -> int:
-    """The bit length of the largest coefficient below q^precision of the
-    z-part's "absolute" product, which bounds every lane in magnitude.
+def _lane_width(spec: ProductSpec, precision: int) -> int:
+    """The bit length of |scalar| times the largest coefficient below
+    q^precision of the "absolute" product of ``spec``'s factors, which
+    bounds every lane in magnitude.
 
     Set z = 1 and make every sign positive: a division (z^e q^a; q^b)^-k
     becomes (q^a; q^b)^-k, and a numerator (z^e q^a; q^b)^k becomes
-    (-q^a; q^b)^k = (q^2a; q^2b)^k / (q^a; q^b)^k.  Coefficientwise, the
-    absolute values of a product are at most those of the product of the
-    absolute values, so the q^n coefficients of the z-part, summed in
-    absolute value over all z-exponents (folded or not), are at most that
-    of the absolute product.
+    (-q^a; q^b)^k = (q^2a; q^2b)^k / (q^a; q^b)^k (z-free factors alike,
+    with e = 0).  Coefficientwise, the absolute values of a product are at
+    most those of the product of the absolute values, so the q^n
+    coefficients of the expansion, summed in absolute value over all
+    z-exponents (folded or not), are at most |scalar| times that of the
+    absolute product.
     """
     parts = []
-    for fac in z_factors:
+    for fac in spec.factors:
         if fac.exponent > 0:
             parts += _eta_form(2 * fac.q_offset, 2 * fac.q_step, fac.exponent)
         parts += _eta_form(fac.q_offset, fac.q_step, -abs(fac.exponent))
     absolute = expand_univariate(ProductSpec(tuple(parts)), precision)
-    return max(absolute.coeffs).bit_length()
+    return (abs(spec.scalar) * max(absolute.coeffs)).bit_length()
 
 
 def expand_bivariate(
@@ -154,17 +156,19 @@ def expand_bivariate(
     agree with those of the full series, which keeps equidistribution
     checks cheap at large precision.
 
-    Each q-degree row of the z-factors' product lies in Z[z]/(z^m - 1):
-    m = ``z_mod``, or 2E + 1 when E bounds |z-exponent| below q^precision,
-    so that nothing wraps.  A row is held as its value at z = 2^W, an int
-    taken modulo R = 2^(mW) - 1, where z^m = 1; there, multiplying by z^e
-    rotates the m lanes of W bits by e and is exact for either sign.  So
-    dividing by (1 - z^e q^k) adds the rotated row i - k to row i, and
-    multiplying by it subtracts.  W is ``_lane_width`` plus a sign bit,
-    in whole bytes: every final lane c_i has |c_i| < 2^(W-1), so the row's
+    Each q-degree row lies in Z[z]/(z^m - 1): m = ``z_mod``, or 2E + 1
+    when E bounds |z-exponent| below q^precision, so that nothing wraps.
+    A row is held as its value at z = 2^W, an int taken modulo
+    R = 2^(mW) - 1, where z^m = 1; there, multiplying by z^e rotates the
+    m lanes of W bits by e and is exact for either sign.  The rows start
+    as the z-free factors' univariate expansion times scalar * z^z_shift,
+    and each z-factor is applied to them in turn: dividing by
+    (1 - z^e q^k) adds the rotated row i - k to row i, and multiplying by
+    it subtracts.  So the rows end as the whole product, and no lane is
+    multiplied afterwards.  W is ``_lane_width`` plus a sign bit, in
+    whole bytes: every final lane c_i has |c_i| < 2^(W-1), so the row's
     value sum c_i 2^(iW) is the one residue in (-R/2, R/2], and its
-    balanced digits are the lanes.  The z-free factors, the scalar and
-    the q-shift multiply the decoded lanes.
+    balanced digits are the lanes.
     """
     if precision < 0:
         raise ValueError("precision must be >= 0")
@@ -177,11 +181,12 @@ def expand_bivariate(
     reach = abs(spec.z_shift) + max(
         (abs(fac.z_exp) * (n - 1) // fac.q_offset for fac in z_factors), default=0)
     m = z_mod or 2 * reach + 1
-    width = (_lane_width(z_factors, n) + 8) // 8  # bytes per lane, sign bit included
+    width = (_lane_width(spec, n) + 8) // 8  # bytes per lane, sign bit included
     bits = 8 * width
     ring = (1 << m * bits) - 1  # R, where 2^(mW) = z^m = 1
-    rows = [0] * n
-    rows[0] = 1 << spec.z_shift % m * bits
+    z_free = expand_univariate(
+        ProductSpec(tuple(fac for fac in spec.factors if not fac.z_exp), spec.scalar), n)
+    rows = [c << spec.z_shift % m * bits for c in z_free.coeffs]
     for fac in z_factors:
         left = fac.z_exp % m * bits  # multiplying by z^e rotates by e mod m
         right = m * bits - left
@@ -198,14 +203,11 @@ def expand_bivariate(
                         x = rows[i - k]
                         rows[i] -= ((x << left) & ring) + (x >> right)
     half = ring >> 1  # a row's residue in (-R/2, R/2] is its value at z = 2^W
-    lanes = zip(*(_unpack(r - ring if r > half else r, m, width)
-                  for r in (x % ring for x in rows)))
-    z_free = expand_univariate(
-        ProductSpec(tuple(fac for fac in spec.factors if not fac.z_exp), spec.scalar), n)
-    lanes = [_convolve(lane, z_free.coeffs, n) if any(lane) else lane for lane in lanes]
+    lanes = (_unpack(r - ring if r > half else r, m, width)
+             for r in (x % ring for x in rows))
     keys = range(m) if z_mod else [i if i <= reach else i - m for i in range(m)]
     return BivariateSeries(tuple([{} for _ in range(spec.q_shift)] + [
-        {key: c for key, c in zip(keys, row) if c} for row in zip(*lanes)]), z_mod)
+        {key: c for key, c in zip(keys, row) if c} for row in lanes]), z_mod)
 
 
 def expand(

@@ -8,12 +8,24 @@ always explicit and no operation silently reads unknown coefficients.
 A series with a ``modulus`` M holds the residues mod M of its
 coefficients, each in [0, M).  Reduction mod M commutes with sums,
 products, powers and inverses of units, so a reduced expansion is the
-exact residue of the integer one; its Kronecker digits stay about
-2*log2(M) + log2(N) bits wide.
+exact residue of the integer one.
+
+Products of long series go through Kronecker substitution: each operand
+is packed into one big integer, one digit per coefficient, and the
+digits of the product are the coefficients of the product.  A digit is
+as wide as the exact bound B = min(len a, len b) * max|a| * max|b| on
+those coefficients requires: B.bit_length() bits, in whole bytes, and
+one sign bit more when an operand has a negative coefficient.  Every
+operand on the mod-M route is a residue, so those products take the
+unsigned digits, about 2*log2(M) + log2(N) bits wide.  Digits of up to 8
+bytes are packed and read by ``array`` in C, with no Python call per
+coefficient; wider ones cost one ``to_bytes``/``from_bytes`` each.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,7 +34,12 @@ class NonUnitError(ValueError):
     """Raised when inverting a series whose constant term is not +1 or -1."""
 
 
-_PACKED_CUTOFF = 48
+_PACKED_CUTOFF = 20
+
+# The unsigned array typecodes by item size, which the platform decides:
+# a lane of w <= 8 bytes is converted in C by the first code of size >= w.
+_ARRAY_CODES = sorted((array(code).itemsize, code) for code in "BHILQ")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _convolve_schoolbook(a: Sequence[int], b: Sequence[int], out_len: int) -> list:
@@ -36,66 +53,101 @@ def _convolve_schoolbook(a: Sequence[int], b: Sequence[int], out_len: int) -> li
     return out
 
 
+def _array_code(width: int) -> Optional[str]:
+    return next((code for size, code in _ARRAY_CODES if size >= width), None)
+
+
 def _pack(values: Sequence[int], width: int) -> int:
-    # values must be nonnegative
-    return int.from_bytes(
-        b"".join(v.to_bytes(width, "little") for v in values), "little"
-    )
+    """sum of values[i] * 2^(8*width*i), for values in [0, 2^(8*width)):
+    array items narrowed to ``width`` bytes by strided copies, or one
+    ``to_bytes`` per value for lanes wider than every array item."""
+    code = _array_code(width)
+    if code is None:
+        return int.from_bytes(
+            b"".join([v.to_bytes(width, "little") for v in values]), "little")
+    items = array(code, values)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    raw = items.tobytes()
+    size = items.itemsize
+    if size == width:
+        return int.from_bytes(raw, "little")
+    lanes = bytearray(len(items) * width)
+    for j in range(width):
+        lanes[j::width] = raw[j::size]
+    return int.from_bytes(lanes, "little")
 
 
 def _pack_signed(values: Sequence[int], width: int) -> int:
-    # the negative part is packed only when there is one, so operands of
-    # residues (all nonnegative) pack once
-    if min(values) >= 0:
-        return _pack(values, width)
+    """``_pack`` of signed values, |v| < 2^(8*width): the positive part
+    packed minus the negative part packed."""
     return _pack([v if v > 0 else 0 for v in values], width) - _pack(
         [-v if v < 0 else 0 for v in values], width
     )
 
 
-def _unpack(x: int, count: int, width: int) -> list:
-    """The lowest ``count`` balanced digits of ``x`` in base 2^(8*width),
-    lowest first: packed signed values d with |d| < 2^(8*width - 1) come
-    back unchanged."""
-    magnitude = -x if x < 0 else x
-    nbytes = max((magnitude.bit_length() + 7) // 8, count * width)
-    raw = magnitude.to_bytes(nbytes, "little")
+def _unpack(x: int, count: int, width: int, signed: bool = True) -> list:
+    """The lowest ``count`` digits of ``x`` in base 2^(8*width), lowest
+    first: balanced digits d with -2^(8*width - 1) <= d < 2^(8*width - 1)
+    when ``signed``, else digits in [0, 2^(8*width)).
+
+    A balanced digit is read with no carry: adding half a lane to every
+    lane makes each digit d + half, in [0, 2^(8*width)), and the lowest
+    ``count`` lanes of that sum, taken mod 2^(8*width*count) (which also
+    drops whatever lies above them, of either sign), are unsigned.
+    """
+    nbytes = count * width
+    if signed:
+        x += int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = (x & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
+    code = _array_code(width)
+    if code is None:
+        out = [int.from_bytes(raw[i : i + width], "little")
+               for i in range(0, nbytes, width)]
+    else:
+        items = array(code)
+        size = items.itemsize
+        if size != width:
+            wide = bytearray(count * size)
+            for j in range(width):
+                wide[j::size] = raw[j::width]
+            raw = wide
+        items.frombytes(raw)
+        if _BIG_ENDIAN:
+            items.byteswap()
+        out = items.tolist()
+    if not signed:
+        return out
     half = 1 << (8 * width - 1)
-    full = half << 1
-    out = []
-    carry = 0
-    for i in range(count):
-        v = int.from_bytes(raw[i * width : (i + 1) * width], "little") + carry
-        if v >= half:
-            v -= full
-            carry = 1
-        else:
-            carry = 0
-        out.append(v)
-    return [-v for v in out] if x < 0 else out
+    return [v - half for v in out]
 
 
 def _convolve_packed(a: Sequence[int], b: Sequence[int], out_len: int) -> list:
     """Convolution via Kronecker substitution.
 
     Both polynomials are packed into single big integers (one digit of
-    2^bits per coefficient), multiplied once, and the product coefficients
-    are read back from the balanced base-2^bits digits.  Exact for signed
-    integer coefficients of any size; the digit width is chosen so that
-    every convolution coefficient fits strictly inside half a digit.
+    8*width bits per coefficient), multiplied once, and the product
+    coefficients are read back from the digits.  Every coefficient of the
+    product is at most B = min(len a, len b) * max|a| * max|b| in
+    magnitude, so a digit of B.bit_length() bits holds it when both
+    operands are nonnegative (residues mod M), and one sign bit more
+    holds a balanced digit otherwise.  A nonnegative operand packs once,
+    a signed one by its two parts, and the same operand (a square) is
+    packed once for both sides.
     """
-    max_a = max(max(a), -min(a))
-    max_b = max(max(b), -min(b))
-    if max_a == 0 or max_b == 0:
+    lo_a, hi_a = min(a), max(a)
+    lo_b, hi_b = (lo_a, hi_a) if b is a else (min(b), max(b))
+    bound = min(len(a), len(b)) * max(hi_a, -lo_a) * max(hi_b, -lo_b)
+    if not bound:
         return [0] * out_len
-    bits = (
-        max_a.bit_length()
-        + max_b.bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 2
-    )
-    width = (bits + 7) // 8
-    return _unpack(_pack_signed(a, width) * _pack_signed(b, width), out_len, width)
+    signed = lo_a < 0 or lo_b < 0
+    width = (bound.bit_length() + signed + 7) // 8
+    x = _pack(a, width) if lo_a >= 0 else _pack_signed(a, width)
+    if b is a:
+        y = x  # CPython squares an int multiplied by itself, which is faster
+    else:
+        y = _pack(b, width) if lo_b >= 0 else _pack_signed(b, width)
+    return _unpack(x * y, out_len, width, signed)
 
 
 def _convolve(
@@ -132,7 +184,7 @@ class QSeries:
             return
         if m < 2:
             raise ValueError(f"series modulus must be >= 2, got {m}")
-        object.__setattr__(self, "coeffs", tuple(c % m for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple([c % m for c in self.coeffs]))
 
     @property
     def precision(self) -> int:
@@ -216,8 +268,9 @@ class QSeries:
         while k < p:
             k = min(2 * k, p)
             fg = _convolve(self.coeffs[:k], g, k, m)
-            t = [-v for v in fg]
-            t[0] += 2
+            fg[0] -= 2
+            # t = 2 - fg, taken as residues mod M so that g * t is unsigned
+            t = [-v for v in fg] if m is None else [-v % m for v in fg]
             g = _convolve(g, t, k, m)
         return QSeries(tuple(g), m)
 

@@ -17,7 +17,8 @@ from qdissect.products import (
     expand_univariate,
     f,
 )
-from qdissect.series import QSeries, pentagonal_sum, pochhammer_series, product
+from qdissect.series import (QSeries, _convolve_schoolbook, pentagonal_sum,
+                             pochhammer_series, product)
 
 W4 = eta_quotient({2: 5, 1: -4, 4: -2})
 W2 = eta_quotient({2: 3, 1: -4})
@@ -236,10 +237,26 @@ ONE_LANE_SPECS = STATISTIC_SPECS + [
 
 def whole_byte_precision(spec):
     """The least precision from 20 on at which the lanes of ``spec`` are
-    whole bytes wide (V_4: 32, W_2: 24): there the sign bit is all that
+    whole bytes wide (V_4: 30, W_2: 21): there the sign bit is all that
     keeps the top bit of a lane free."""
-    z_factors = [fac for fac in spec.factors if fac.z_exp]
-    return next(p for p in itertools.count(20) if _lane_width(z_factors, p) % 8 == 0)
+    return next(p for p in itertools.count(20) if _lane_width(spec, p) % 8 == 0)
+
+
+def per_lane_route(spec, precision, z_mod=None):
+    """The structure the z-free start of the rows replaced: the z-factors
+    expanded alone, then every lane multiplied by the z-free expansion
+    (scalar included), one lane at a time."""
+    z_part = ProductSpec(tuple(fac for fac in spec.factors if fac.z_exp),
+                         q_shift=spec.q_shift, z_shift=spec.z_shift)
+    z_free = expand_univariate(
+        ProductSpec(tuple(fac for fac in spec.factors if not fac.z_exp), spec.scalar),
+        precision)
+    rows = expand_bivariate(z_part, precision, z_mod).rows
+    lanes = {key: _convolve_schoolbook([row.get(key, 0) for row in rows],
+                                       z_free.coeffs, precision)
+             for key in set().union(*rows)}
+    return tuple({key: lane[i] for key, lane in lanes.items() if lane[i]}
+                 for i in range(precision))
 
 
 class TestPackedLanes:
@@ -256,6 +273,19 @@ class TestPackedLanes:
         assert expand_bivariate(spec, precision, z_mod).rows == dict_route(
             spec, precision, z_mod)
 
+    @given(spec=specs, precision=st.integers(0, 30), z_mod=st.sampled_from(Z_MODS))
+    @settings(max_examples=100, deadline=None)
+    def test_random_specs_match_the_per_lane_route(self, spec, precision, z_mod):
+        assert expand_bivariate(spec, precision, z_mod).rows == per_lane_route(
+            spec, precision, z_mod)
+
+    @pytest.mark.parametrize("name, spec", STATISTIC_SPECS)
+    @pytest.mark.parametrize("precision, z_mod", [(150, 5), (60, None)])
+    def test_statistic_specs_match_the_per_lane_route(self, name, spec, precision,
+                                                      z_mod):
+        assert expand_bivariate(spec, precision, z_mod).rows == per_lane_route(
+            spec, precision, z_mod)
+
     @pytest.mark.parametrize("name, spec, precision", [
         pytest.param(name, spec, 60, id=f"{name}-spec{i}")
         for i, (name, spec) in enumerate(ONE_LANE_SPECS)
@@ -270,20 +300,23 @@ class TestPackedLanes:
         assert tuple(row.get(0, 0) for row in folded.rows) == want
         assert all(set(row) <= {0} for row in folded.rows)
 
-    @given(z_factors=factors.map(lambda fs: tuple(fac for fac in fs if fac.z_exp)),
+    @given(factors=factors, scalar=st.integers(-3, 3).filter(bool),
            precision=st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
-    def test_lane_width_is_that_of_the_absolute_product(self, z_factors, precision):
-        # every factor 1 - z^e q^j taken as 1 + q^j, its inverse as 1/(1 - q^j)
+    def test_lane_width_is_that_of_the_absolute_product(self, factors, scalar,
+                                                        precision):
+        # every factor 1 - z^e q^j (e = 0 too) taken as 1 + q^j, its
+        # inverse as 1/(1 - q^j)
         absolute = [1] + [0] * (precision - 1)
-        for fac in z_factors:
+        for fac in factors:
             for _ in range(abs(fac.exponent)):
                 for j in range(fac.q_offset, precision, fac.q_step):
                     degrees = (range(precision - 1, j - 1, -1) if fac.exponent > 0
                                else range(j, precision))
                     for n in degrees:
                         absolute[n] += absolute[n - j]
-        assert _lane_width(z_factors, precision) == max(absolute).bit_length()
+        spec = ProductSpec(factors, scalar)
+        assert _lane_width(spec, precision) == (abs(scalar) * max(absolute)).bit_length()
 
     @pytest.mark.parametrize("z_mod", [0, -3])
     def test_rejects_z_mod_below_one(self, z_mod):

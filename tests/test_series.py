@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +9,11 @@ from qdissect.series import (
     _PACKED_CUTOFF,
     NonUnitError,
     QSeries,
+    _array_code,
     _convolve,
     _convolve_packed,
     _convolve_schoolbook,
+    _pack,
     _pack_signed,
     _unpack,
     divide_by_eta,
@@ -22,6 +26,55 @@ from qdissect.series import (
 small_series = st.lists(st.integers(-9, 9), min_size=1, max_size=12).map(
     lambda c: QSeries(tuple(c))
 )
+
+# digit widths in bytes: one per array item size, then wide lanes
+WIDTH_CLASSES = {"1": (1, 1), "2": (2, 2), "3": (3, 3), "4": (4, 4), "5-8": (5, 8),
+                 "9-16": (9, 16), "over-16": (17, 40)}
+
+
+@st.composite
+def operands_of_width(draw, lo, hi, signed):
+    """Operands whose exact bound B = min(len a, len b) * max|a| * max|b|
+    takes digits of lo..hi bytes: B has t - 2 to t bits, where t = 8w - 1
+    for signed operands (one sign bit) and 8w for residues."""
+    t = 8 * draw(st.integers(lo, hi)) - signed
+    n_bits = draw(st.integers(1, min(6, t - 2)))
+    n = draw(st.integers(1 << n_bits - 1, (1 << n_bits) - 1))
+    bits_a = draw(st.integers(1, t - n_bits - 1))
+    bits_b = t - n_bits - bits_a
+
+    def operand(bits, length, negative_top):
+        top = draw(st.integers(1 << bits - 1, (1 << bits) - 1))
+        low = -(1 << bits) + 1 if signed else 0
+        values = draw(st.lists(st.integers(low, (1 << bits) - 1),
+                               min_size=length - 1, max_size=length - 1))
+        values.insert(draw(st.integers(0, length - 1)), -top if negative_top else top)
+        return values
+
+    a = operand(bits_a, n, signed)
+    b = operand(bits_b, draw(st.integers(n, n + 20)), signed and draw(st.booleans()))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+# (B, n, max|a|, max|b|, signed, digit bytes): B = 2^k - 1 fills k bits
+# exactly, and B = 2^k needs one more, on each side of a byte boundary and
+# of the array and wide lanes
+WORST_CASES = [
+    (2 ** 8 - 1, 15, 17, 1, False, 1),
+    (2 ** 8, 16, 4, 4, False, 2),
+    (2 ** 16 - 1, 15, 17, 257, False, 2),
+    (2 ** 16, 16, 64, 64, False, 3),
+    (2 ** 24 - 1, 45, 91, 4097, False, 3),
+    (2 ** 24, 64, 2 ** 9, 2 ** 9, False, 4),
+    (2 ** 64 - 1, 255, 164737, 439125228929, False, 8),
+    (2 ** 64, 256, 2 ** 28, 2 ** 28, False, 9),
+    (2 ** 7 - 1, 1, 127, 1, True, 1),
+    (2 ** 7, 2, 8, 8, True, 2),
+    (2 ** 15 - 1, 7, 31, 151, True, 2),
+    (2 ** 15, 8, 64, 64, True, 3),
+    (2 ** 63 - 1, 49, 3124327, 60247241209, True, 8),
+    (2 ** 63, 8, 2 ** 30, 2 ** 30, True, 9),
+]
 
 
 class TestPochhammer:
@@ -157,13 +210,79 @@ class TestConvolutionRoutes:
         n = min(len(a), len(b))
         assert _convolve_packed(a, b, n) == _convolve_schoolbook(a, b, n)
 
-    @given(data=st.data(), width=st.integers(1, 4))
-    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 17))
+    @settings(max_examples=150, deadline=None)
     def test_unpack_inverts_signed_packing(self, data, width):
         bound = 1 << (8 * width - 1)
         digits = data.draw(st.lists(st.integers(-bound + 1, bound - 1), min_size=1,
                                     max_size=20))
         assert _unpack(_pack_signed(digits, width), len(digits), width) == digits
+
+    @given(data=st.data(), width=st.integers(1, 17))
+    @settings(max_examples=150, deadline=None)
+    def test_unpack_inverts_unsigned_packing(self, data, width):
+        digits = data.draw(st.lists(st.integers(0, (1 << 8 * width) - 1), min_size=1,
+                                    max_size=20))
+        packed = _pack(digits, width)
+        assert packed == sum(d << 8 * width * i for i, d in enumerate(digits))
+        assert _unpack(packed, len(digits), width, signed=False) == digits
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_array_lanes_are_the_smallest_that_fit(self, width):
+        code = _array_code(width)
+        sizes = [array(c).itemsize for c in "BHILQ"]
+        if width > max(sizes):
+            assert code is None  # one to_bytes per value instead
+        else:
+            assert array(code).itemsize == min(s for s in sizes if s >= width)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_unpack_reads_the_lowest_lanes_of_any_sign(self, count):
+        # digits above count are dropped whatever their sign, and missing
+        # digits read as zero
+        low = [5, -7, 0][:count]
+        for high in (0, 1, -1, 1 << 200, -(1 << 200)):
+            x = _pack_signed(low, 2) + (high << 16 * count)
+            assert _unpack(x, count, 2) == low
+            assert _unpack(x, count + 2, 2)[:count] == low
+
+    @pytest.mark.parametrize("lo, hi", WIDTH_CLASSES.values(), ids=WIDTH_CLASSES.keys())
+    @pytest.mark.parametrize("signed", [True, False], ids=["signed", "residues"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_packed_matches_schoolbook_in_every_width_class(self, lo, hi, signed, data):
+        a, b = data.draw(operands_of_width(lo, hi, signed))
+        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+        assert lo <= (bound.bit_length() + signed + 7) // 8 <= hi  # the class is hit
+        assert (min(a + b) < 0) == signed
+        full = len(a) + len(b) - 1
+        out_len = data.draw(st.sampled_from([1, full // 2, full - 1, full, full + 3]))
+        assert _convolve_packed(a, b, out_len) == _convolve_schoolbook(a, b, out_len)
+
+    @pytest.mark.parametrize("bound, n, top_a, top_b, signed, width, sign", [
+        case + (sign,) for case in WORST_CASES for sign in ((1, -1) if case[4] else (1,))])
+    def test_worst_case_digits_are_exactly_wide_enough(self, monkeypatch, bound, n,
+                                                       top_a, top_b, signed, width,
+                                                       sign):
+        # every coefficient at the maximum: the middle coefficient of the
+        # product is +-B itself, and the digits are as narrow as B allows
+        assert n * top_a * top_b == bound
+        a, b = [sign * top_a] * n, [top_b] * n
+        if signed and sign > 0:
+            a.append(-1)  # signed, with the same B: a[n] meets no b[j] at n - 1
+        widths = []
+        unpack = series._unpack
+
+        def recording_unpack(x, count, w, signed=True):
+            widths.append(w)
+            return unpack(x, count, w, signed)
+
+        monkeypatch.setattr(series, "_unpack", recording_unpack)
+        for out_len in (n - 1, n, 2 * n - 1, 2 * n + 2):
+            got = _convolve_packed(a, b, out_len)
+            assert got == _convolve_schoolbook(a, b, out_len)
+        assert got[n - 1] == sign * bound
+        assert set(widths) == {width}
 
     def test_packed_zero_operand(self):
         assert _convolve_packed([0] * 60, [1] * 60, 60) == [0] * 60
@@ -194,8 +313,45 @@ class TestConvolutionRoutes:
         # a once; b by its positive and its negative part
         assert packed == [a, [1, 0, 0] * 20, [0, 2, 0] * 20]
 
+    @pytest.mark.parametrize("modulus", [7, None], ids=["residues", "signed"])
+    def test_square_packs_once(self, monkeypatch, modulus):
+        # s * s hands _convolve one tuple twice (a full slice of a tuple is
+        # the tuple itself), which is packed once and squared
+        packed = []
+        pack = series._pack
+
+        def recording_pack(values, width):
+            packed.append(list(values))
+            return pack(values, width)
+
+        monkeypatch.setattr(series, "_pack", recording_pack)
+        s = QSeries(tuple(range(-30, 30)), modulus)
+        want = _convolve_schoolbook(s.coeffs, s.coeffs, 60)
+        if modulus:
+            want = [v % modulus for v in want]
+        assert list((s * s).coeffs) == want
+        if modulus:
+            assert packed == [list(s.coeffs)]
+        else:  # by its positive and its negative part, once each
+            assert packed == [[max(v, 0) for v in s.coeffs], [max(-v, 0) for v in s.coeffs]]
+
 
 class TestReducedSeries:
+    def test_every_product_mod_m_is_unsigned(self, monkeypatch):
+        # every operand on the mod-M route is a residue, Newton's correction
+        # term 2 - fg included, so no product packs a negative part
+        s = QSeries(pochhammer_series(1, 1, 300).power(-3).coeffs, 5)
+        nonnegative = []
+        convolve_packed = series._convolve_packed
+
+        def recording(a, b, n):
+            nonnegative.append(min(a) >= 0 and min(b) >= 0)
+            return convolve_packed(a, b, n)
+
+        monkeypatch.setattr(series, "_convolve_packed", recording)
+        assert (s.inverse() * s.power(2)).coeffs == s.coeffs
+        assert len(nonnegative) >= 10 and all(nonnegative)
+
     def test_product_is_reduced_once(self, monkeypatch):
         reductions = []
         convolve = series._convolve

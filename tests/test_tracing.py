@@ -37,3 +37,11 @@ def test_every_trace_hook_is_installed():
         tracer.uninstall()
     assert requested
     assert missing == [], f"{len(missing)} of {len(requested)} trace hooks not installed"
+
+
+def test_the_packed_cutoff_is_where_the_tracer_reads_it():
+    # the tracer reads series._PACKED_CUTOFF through getattr(..., 0): were
+    # it renamed, every product would count as packed and nothing would fail
+    from qdissect import series
+
+    assert isinstance(series._PACKED_CUTOFF, int) and series._PACKED_CUTOFF > 1
