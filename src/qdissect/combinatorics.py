@@ -1,9 +1,13 @@
-"""Brute-force enumeration of weighted 7-colored vector partitions.
+"""Definition-level counts of weighted 7-colored vector partitions.
 
-This module is the definition-level oracle: partition classes, the
+This module is the oracle for the series layer: partition classes, the
 crank, the multirank and vector-crank statistics are all computed
 straight from their definitions, with no generating functions involved.
-The series layer must reproduce these counts exactly.
+A family is seven component records (class, weight, statistic).  Vector
+listings walk every vector; a statistic distribution convolves one table
+per record over sizes, which needs no product formula either, only the
+partition classes and the records' two functions.  The series layer
+must reproduce these counts exactly.
 """
 
 from __future__ import annotations
@@ -175,10 +179,10 @@ def family_t(family: str, t: Optional[int]) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _walk(family, t, n, rank_coefficient, allow_large):
-    """An iterator of (components, weight, statistic) over the family's
-    vector partitions of n.  Each component is picked by size, then in
-    class order; the last one takes exactly the size that is left."""
+def _valued(family, t, n, rank_coefficient, allow_large):
+    """The guard both routes share, then the family's size scales and, per
+    component record and size, the (member, weight, statistic) of each
+    member of its class."""
     t = family_t(family, t)
     if n < 0:
         raise ValueError("partition size must be >= 0")
@@ -187,13 +191,20 @@ def _walk(family, t, n, rank_coefficient, allow_large):
             f"enumeration refused for n = {n} > {ENUMERATION_LIMIT}; "
             "pass allow_large=True to override"
         )
-    records = _components(family, rank_coefficient)
     scales = (1, 1, 1, 1, 1, t, t)
-    last = len(records) - 1
-    # per component and size: (member, weight, statistic) of each member
     valued = [[[(m, weight(m), statistic(m)) for m in enumerate_class(size, cls)]
                for size in range(n // scale + 1)]
-              for (cls, weight, statistic), scale in zip(records, scales)]
+              for (cls, weight, statistic), scale
+              in zip(_components(family, rank_coefficient), scales)]
+    return scales, valued
+
+
+def _walk(family, t, n, rank_coefficient, allow_large):
+    """An iterator of (components, weight, statistic) over the family's
+    vector partitions of n.  Each component is picked by size, then in
+    class order; the last one takes exactly the size that is left."""
+    scales, valued = _valued(family, t, n, rank_coefficient, allow_large)
+    last = len(valued) - 1
 
     def rec(i, remaining, chosen, weight, statistic):
         scale = scales[i]
@@ -233,15 +244,41 @@ def statistic_distribution(
     rank_coefficient: int = 2,
     allow_large: bool = False,
 ) -> dict:
-    """Weighted counts by statistic value: m -> sum of weights."""
-    dist: dict = {}
-    for _, weight, statistic in _walk(family, t, n, rank_coefficient, allow_large):
-        dist[statistic] = dist.get(statistic, 0) + weight
-    return {m: c for m, c in dist.items() if c}
+    """Weighted counts by statistic value at size n: m -> sum of weights.
+
+    A vector's weight is the product and its statistic the sum of its
+    components' values, so the distribution is a convolution over sizes
+    of seven tables, one per component record: size -> {statistic: summed
+    weight of the class members of that size}.  No vector is listed.
+    """
+    scales, valued = _valued(family, t, n, rank_coefficient, allow_large)
+    last = len(valued) - 1
+    # by total size so far: statistic -> weight over the components placed
+    acc = [{0: 1}] + [{} for _ in range(n)]
+    for i, (scale, members) in enumerate(zip(scales, valued)):
+        tables = []
+        for row in members:
+            table: dict = {}
+            for _, w, s in row:
+                table[s] = table.get(s, 0) + w
+            tables.append(table)
+        out = [{} for _ in range(n + 1)]
+        # the last component fills the size up to n: no other total is needed
+        for total in range(n + 1) if i < last else (n,):
+            target = out[total]
+            for size in range(total // scale + 1):
+                dist = acc[total - scale * size]
+                for s, w in tables[size].items():
+                    for s0, w0 in dist.items():
+                        target[s0 + s] = target.get(s0 + s, 0) + w0 * w
+        acc = out
+    return {m: c for m, c in acc[n].items() if c}
 
 
 def residue_classes(dist: dict, m: int) -> list:
     """Weighted counts of a statistic distribution by residue mod m."""
+    if m < 1:
+        raise ValueError("modulus must be >= 1")
     return [sum(c for s, c in dist.items() if s % m == k) for k in range(m)]
 
 
@@ -257,13 +294,16 @@ def weighted_count(
 
     Without k/modulus this is the total weighted count, i.e. w_t(n).
     """
+    if modulus is not None:
+        if k is None:
+            raise ValueError("a modulus requires a residue k")
+        if modulus < 1:
+            raise ValueError("modulus must be >= 1")
     dist = statistic_distribution(family, t, n, allow_large=allow_large)
     if k is None:
         return sum(dist.values())
     if modulus is None:
         return dist.get(k, 0)
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
     return sum(c for m, c in dist.items() if (m - k) % modulus == 0)
 
 

@@ -15,6 +15,7 @@ from qdissect.combinatorics import (
     parity_weighted_enumeration,
     partition_p,
     pentagonal_d,
+    residue_classes,
     series_counts,
     star_crank,
     star_weight,
@@ -149,6 +150,13 @@ class TestVectorEnumeration:
             enumerate_vectors("V", 1, ENUMERATION_LIMIT + 1)
         with pytest.raises(ValueError):
             statistic_distribution("W2", None, 999)
+        for family, t, n in (("V", 1, ENUMERATION_LIMIT + 1), ("W2", None, -1),
+                             ("V", 3, -1)):
+            with pytest.raises(ValueError) as listing:
+                enumerate_vectors(family, t, n)
+            with pytest.raises(ValueError) as distribution:
+                statistic_distribution(family, t, n)
+            assert str(distribution.value) == str(listing.value), (family, t, n)
 
     def test_family_validation(self):
         with pytest.raises(ValueError):
@@ -157,12 +165,59 @@ class TestVectorEnumeration:
             enumerate_vectors("W2", 3, 2)
         with pytest.raises(ValueError):
             enumerate_vectors("Q", 1, 2)
+        for family, t in (("V", None), ("V", 0), ("W2", 3), ("Q", 1)):
+            with pytest.raises(ValueError) as listing:
+                enumerate_vectors(family, t, 2)
+            with pytest.raises(ValueError) as distribution:
+                statistic_distribution(family, t, 2)
+            assert str(distribution.value) == str(listing.value), (family, t)
+
+    def test_weighted_count_modulus_needs_k(self):
+        # checked before enumerating: above the limit the modulus error wins
+        for n in (3, ENUMERATION_LIMIT + 1):
+            with pytest.raises(ValueError, match="modulus"):
+                weighted_count("V", 4, n, modulus=5)
+
+    def test_weighted_count_modulus_zero(self):
+        for k in (None, 1):
+            for n in (3, ENUMERATION_LIMIT + 1):
+                with pytest.raises(ValueError, match="modulus"):
+                    weighted_count("V", 4, n, k=k, modulus=0)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_residue_classes_modulus_below_one(self, m):
+        with pytest.raises(ValueError, match="modulus"):
+            residue_classes(statistic_distribution("V", 4, 3), m)
 
     def test_render_components(self):
         vectors = enumerate_vectors("V", 4, 3)
         rendered = {v.render_components() for v in vectors}
         assert "[];[3];[];[];[];[];[]" in rendered
         assert "[2];[1];[];[];[];[];[]" in rendered
+
+
+def walk_distribution(family, t, n, h=2, allow_large=False):
+    """The reference the convolution replaced: weights summed by statistic
+    over every vector of the walk."""
+    dist = Counter()
+    for v in enumerate_vectors(family, t, n, rank_coefficient=h,
+                               allow_large=allow_large):
+        dist[v.statistic] += v.weight
+    return {m: c for m, c in dist.items() if c}
+
+
+class TestConvolutionAgainstWalk:
+    @pytest.mark.parametrize("family, t, h", [
+        ("V", t, h) for t in range(1, 8) for h in (1, 2, 3)] + [("W2", None, 2)])
+    def test_distribution_equals_walk(self, family, t, h):
+        for n in range(13):
+            got = statistic_distribution(family, t, n, rank_coefficient=h)
+            assert got == walk_distribution(family, t, n, h), (family, t, h, n)
+
+    @pytest.mark.parametrize("family, t, n", [("W2", None, 40), ("V", 1, 30)])
+    def test_large_sizes_equal_the_generating_function(self, family, t, n):
+        got = statistic_distribution(family, t, n, allow_large=True)
+        assert got == series_counts(family, t, n + 1).z_coefficients(n)
 
 
 def _size_vectors(scales, n):
