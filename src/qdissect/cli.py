@@ -302,7 +302,9 @@ def main(argv=None) -> int:
     except SystemExit:
         raise
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

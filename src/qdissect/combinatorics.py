@@ -312,7 +312,13 @@ def weighted_count(
 # ---------------------------------------------------------------------------
 
 def multirank_spec(t: int) -> ProductSpec:
-    """Bivariate product whose z^m q^n coefficient is N_V_t(m, n)."""
+    """Bivariate product whose z^m q^n coefficient is N_V_t(m, n).
+
+    Its z-factors pair up under the Jacobi triple product, so the product is
+    f_2^3 f_t / (theta(z) theta(z^2) C_t(z^2)), with
+    theta(x) = sum_n (-1)^n x^n q^(n^2) and C_t as in ``products``: the form
+    ``expand_bivariate`` divides by.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
     return ProductSpec((
@@ -327,7 +333,11 @@ def multirank_spec(t: int) -> ProductSpec:
 
 
 def vector_crank_spec() -> ProductSpec:
-    """Bivariate product whose z^m q^n coefficient is M*(m, n)."""
+    """Bivariate product whose z^m q^n coefficient is M*(m, n).
+
+    By the Jacobi triple product it is f_1^2 f_2^3 / (C_1(z) C_1(z^2)), with
+    C_1(x) = sum_{k>=1} (-1)^(k+1) q^(k(k-1)/2) (x^(1-k) + ... + x^(k-1)).
+    """
     return ProductSpec((
         Factor(2, 2, 3),
         Factor(1, 1, -1, z_exp=1),

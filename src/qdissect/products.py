@@ -13,15 +13,27 @@ constant term 1).  A univariate expansion mod M gives exact residues.
 A bivariate expansion holds each q-degree row as one big integer
 modulo 2^(mW) - 1, the row's value at z = 2^W in Z[z]/(z^m - 1)
 (Kronecker substitution along z).  There z^m = 1, so multiplying by z^e
-is a rotation of the m lanes of W bits, exact for either sign, and each
-factor (1 - z^e q^k) costs one rotation and one addition or subtraction
-per row.  The rows start as the univariate expansion of the z-free
-factors, so no lane is multiplied afterwards.  One sign bit above the
-coefficient bound makes each final row's balanced digits its lanes.
+is a rotation of the m lanes of W bits, exact for either sign.  A
+mirrored pair of divisions (x q^a; q^b)^-k (x^-1 q^a; q^b)^-k, x = z^e,
+is by the Jacobi triple product a quotient by a theta series with
+O(sqrt N) terms below q^N:
+
+    (x q^a; q^2a)(x^-1 q^a; q^2a) = theta_a(x) / f_2a,
+        theta_a(x) = sum_n (-1)^n x^n q^(a n^2);
+    (x q^a; q^a)(x^-1 q^a; q^a) = C_a(x) / f_a,
+        C_a(x) = sum_{j>=1} (-1)^(j+1) q^(a j(j-1)/2) (x^(1-j) + ... + x^(j-1)).
+
+So f_2a^k or f_a^k joins the z-free factors, whose univariate expansion
+starts the rows, and the rows are divided k times by the sparse series,
+each q-term costing two shifts of a row.  Any other z-factor
+(1 - z^e q^k) costs one rotation and one addition or subtraction per
+row.  One sign bit above the coefficient bound makes each final row's
+balanced digits its lanes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -145,6 +157,39 @@ def _lane_width(spec: ProductSpec, precision: int) -> int:
     return (abs(spec.scalar) * max(absolute.coeffs)).bit_length()
 
 
+def _mirror_pairs(z_factors: list) -> tuple:
+    """(pairs, rest): each pair is given by one member (z^e q^a; q^b)^-k,
+    b = a or 2a, whose mirror (z^-e q^a; q^b)^-k was also in ``z_factors``;
+    ``rest`` holds every factor left unpaired."""
+    pending, pairs, rest = list(z_factors), [], []
+    while pending:
+        fac = pending.pop()
+        mirror = Factor(fac.q_offset, fac.q_step, fac.exponent, -fac.z_exp)
+        if (fac.exponent < 0 and fac.q_step in (fac.q_offset, 2 * fac.q_offset)
+                and mirror in pending):
+            pending.remove(mirror)
+            pairs.append(fac)
+        else:
+            rest.append(fac)
+    return pairs, rest
+
+
+def _jacobi_terms(fac: Factor, n: int) -> list:
+    """(p, t, negative) for each q^p term, 0 < p < n, of the series that
+    the pair of ``fac`` divides by, theta_a(x) or C_a(x) with x = z^e.
+    Dividing adds -d_p(z) times row i - p to row i, where -d_p is
+    +-(x^t + x^-t) for theta_a, and +-(1 + sum_{s=1..t} (x^s + x^-s)) for
+    C_a; ``negative`` gives the sign."""
+    a, theta = fac.q_offset, fac.q_step == 2 * fac.q_offset
+    terms = []
+    for j in itertools.count(1 if theta else 2):
+        p = a * j * j if theta else a * j * (j - 1) // 2
+        if p >= n:
+            return terms
+        # -d_p is (-1)^(j+1) (x^j + x^-j), or (-1)^j (x^(1-j) + ... + x^(j-1))
+        terms.append((p, j if theta else j - 1, (j % 2 == 0) == theta))
+
+
 def expand_bivariate(
     spec: ProductSpec, precision: int, z_mod: Optional[int] = None
 ) -> BivariateSeries:
@@ -160,15 +205,28 @@ def expand_bivariate(
     when E bounds |z-exponent| below q^precision, so that nothing wraps.
     A row is held as its value at z = 2^W, an int taken modulo
     R = 2^(mW) - 1, where z^m = 1; there, multiplying by z^e rotates the
-    m lanes of W bits by e and is exact for either sign.  The rows start
-    as the z-free factors' univariate expansion times scalar * z^z_shift,
-    and each z-factor is applied to them in turn: dividing by
-    (1 - z^e q^k) adds the rotated row i - k to row i, and multiplying by
-    it subtracts.  So the rows end as the whole product, and no lane is
-    multiplied afterwards.  W is ``_lane_width`` plus a sign bit, in
-    whole bytes: every final lane c_i has |c_i| < 2^(W-1), so the row's
-    value sum c_i 2^(iW) is the one residue in (-R/2, R/2], and its
-    balanced digits are the lanes.
+    m lanes of W bits by e and is exact for either sign.
+
+    Every division (z^e q^a; q^b)^-k whose mirror (z^-e q^a; q^b)^-k is
+    also a factor, with b = 2a or b = a, pairs with it: the pair is
+    f_b^k / theta_a(z^e)^k or f_b^k / C_a(z^e)^k (module docstring).  The
+    rows start as the univariate expansion of the z-free factors, each
+    f_b^k included, times scalar * z^z_shift.  Each unpaired z-factor is
+    applied in turn: dividing by (1 - z^e q^k) adds the rotated row i - k
+    to row i, and multiplying by it subtracts.  Then, k times per pair,
+    row i -= sum_p d_p(z) row i - p in ascending i.  A theta term
+    d_p = -+(z^(et) + z^(-et)) is two shifts, reduced mod R by two folds of
+    the finished row.  A C term, -+(1 + sum_{s=1..t} (z^(es) + z^(-es))),
+    needs no product: over the terms in descending p, the running sum of
+    the signed rows is shifted by +-et, and added once more at the end.
+
+    The map from Z[z]/(z^m - 1) to Z/RZ sending z to 2^W is a ring
+    homomorphism, and each theta series has constant term 1, so the rows
+    end as the image of the whole product whatever the intermediate
+    values.  W is ``_lane_width`` of ``spec`` plus a sign bit, in whole
+    bytes: every final lane c_i has |c_i| < 2^(W-1), so the row's value
+    sum c_i 2^(iW) is the one residue in (-R/2, R/2], and its balanced
+    digits are the lanes.
     """
     if precision < 0:
         raise ValueError("precision must be >= 0")
@@ -183,13 +241,16 @@ def expand_bivariate(
     m = z_mod or 2 * reach + 1
     width = (_lane_width(spec, n) + 8) // 8  # bytes per lane, sign bit included
     bits = 8 * width
-    ring = (1 << m * bits) - 1  # R, where 2^(mW) = z^m = 1
-    z_free = expand_univariate(
-        ProductSpec(tuple(fac for fac in spec.factors if not fac.z_exp), spec.scalar), n)
+    ring_bits = m * bits
+    ring = (1 << ring_bits) - 1  # R, where 2^(mW) = z^m = 1
+    pairs, rest = _mirror_pairs(z_factors)
+    z_free = expand_univariate(ProductSpec(
+        tuple(fac for fac in spec.factors if not fac.z_exp)
+        + tuple(f(fac.q_step, -fac.exponent) for fac in pairs), spec.scalar), n)
     rows = [c << spec.z_shift % m * bits for c in z_free.coeffs]
-    for fac in z_factors:
+    for fac in rest:
         left = fac.z_exp % m * bits  # multiplying by z^e rotates by e mod m
-        right = m * bits - left
+        right = ring_bits - left
         for _ in range(abs(fac.exponent)):
             for k in range(fac.q_offset, n, fac.q_step):
                 if fac.exponent < 0:
@@ -202,6 +263,27 @@ def expand_bivariate(
                     for i in range(n - 1, k - 1, -1):
                         x = rows[i - k]
                         rows[i] -= ((x << left) & ring) + (x >> right)
+    for fac in pairs:
+        cumulative = fac.q_step == fac.q_offset  # a C_a term sums monomial pairs
+        terms = [(p, fac.z_exp * t % m * bits, -fac.z_exp * t % m * bits, negative)
+                 for p, t, negative in _jacobi_terms(fac, n)]
+        for _ in range(-fac.exponent):
+            active = 0
+            for i in range(fac.q_offset, n):
+                while active < len(terms) and terms[active][0] <= i:
+                    active += 1
+                acc, x = rows[i], 0
+                for p, left, right, negative in terms[active - 1::-1]:
+                    y = rows[i - p]
+                    if cumulative:
+                        x = x - y if negative else x + y
+                    else:
+                        x = -y if negative else y
+                    acc += (x << left) + (x << right)  # times z^et + z^-et
+                if cumulative:
+                    acc += x  # the 1 in every C_a term
+                acc = (acc & ring) + (acc >> ring_bits)  # 2^(mW) = 1: fold twice,
+                rows[i] = (acc & ring) + (acc >> ring_bits)  # leaving the row near R
     half = ring >> 1  # a row's residue in (-R/2, R/2] is its value at z = 2^W
     lanes = (_unpack(r - ring if r > half else r, m, width)
              for r in (x % ring for x in rows))

@@ -74,6 +74,15 @@ class EquidistributionSpec:
     offset: int
     n_max: int
 
+    def __post_init__(self):
+        # every distribution is equidistributed mod 1: such a check is vacuous
+        if self.statistic_modulus < 2:
+            raise ValueError("statistic modulus must be >= 2")
+        if self.step < 1 or not 0 <= self.offset < self.step:
+            raise ValueError("need step >= 1 and 0 <= offset < step")
+        if self.n_max < 0:
+            raise ValueError("n_max must be >= 0")
+
     def statement(self) -> str:
         fam = _family_name(self.family, self.t)
         return (

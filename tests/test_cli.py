@@ -137,6 +137,11 @@ class TestVerify:
         assert code == 2
         assert "nope" in err
 
+    def test_unknown_id_message_is_unquoted(self, capsys):
+        code, _, err = run(capsys, "verify", "--id", "nope")
+        assert code == 2
+        assert err == "error: no identity entry with id 'nope'\n"
+
 
 class TestSuite:
     def test_low_precision_suite_is_green(self, capsys):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdissect import theta
@@ -11,13 +11,14 @@ from qdissect.products import (
     Factor,
     ProductSpec,
     _lane_width,
+    _mirror_pairs,
     eta_quotient,
     expand,
     expand_bivariate,
     expand_univariate,
     f,
 )
-from qdissect.series import (QSeries, _convolve_schoolbook, pentagonal_sum,
+from qdissect.series import (QSeries, _convolve_schoolbook, _unpack, pentagonal_sum,
                              pochhammer_series, product)
 
 W4 = eta_quotient({2: 5, 1: -4, 4: -2})
@@ -221,12 +222,66 @@ def dict_route(spec, precision, z_mod=None):
     return tuple({e: c for e, c in row.items() if c} for row in rows)
 
 
+def rotation_route(spec, precision, z_mod=None):
+    """The packed z-lanes before the theta pairing: every z-factor applied
+    as its factors (1 - z^e q^k), one lane rotation per row update."""
+    n = precision - spec.q_shift
+    if n <= 0:
+        return tuple({} for _ in range(precision))
+    z_factors = [fac for fac in spec.factors if fac.z_exp]
+    reach = abs(spec.z_shift) + max(
+        (abs(fac.z_exp) * (n - 1) // fac.q_offset for fac in z_factors), default=0)
+    m = z_mod or 2 * reach + 1
+    width = (_lane_width(spec, n) + 8) // 8
+    bits = 8 * width
+    ring = (1 << m * bits) - 1
+    z_free = expand_univariate(
+        ProductSpec(tuple(fac for fac in spec.factors if not fac.z_exp), spec.scalar), n)
+    rows = [c << spec.z_shift % m * bits for c in z_free.coeffs]
+    for fac in z_factors:
+        left = fac.z_exp % m * bits
+        right = m * bits - left
+        for _ in range(abs(fac.exponent)):
+            for k in range(fac.q_offset, n, fac.q_step):
+                if fac.exponent < 0:
+                    for i in range(k, n):
+                        x = rows[i - k]
+                        rows[i] += ((x << left) & ring) + (x >> right)
+                else:
+                    for i in range(n - 1, k - 1, -1):
+                        x = rows[i - k]
+                        rows[i] -= ((x << left) & ring) + (x >> right)
+    half = ring >> 1
+    lanes = (_unpack(r - ring if r > half else r, m, width)
+             for r in (x % ring for x in rows))
+    keys = range(m) if z_mod else [i if i <= reach else i - m for i in range(m)]
+    return tuple([{} for _ in range(spec.q_shift)] + [
+        {key: c for key, c in zip(keys, row) if c} for row in lanes])
+
+
 factors = st.lists(st.builds(Factor, st.integers(1, 3), st.integers(1, 3),
                              st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-2, 3)),
                    max_size=4).map(tuple)
 specs = st.builds(ProductSpec, factors, scalar=st.integers(-3, 3),
                   q_shift=st.integers(0, 3), z_shift=st.integers(-3, 3))
 Z_MODS = [None, 1, 2, 3, 5, 7]
+
+
+@st.composite
+def mirrored_specs(draw):
+    """Specs with one to three mirrored pairs (z^e q^a; q^b)^-k (z^-e q^a; q^b)^-k,
+    b = a or 2a, shuffled among unpaired and positive factors."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, 2]),
+                                    st.integers(-3, -1), st.integers(1, 3)),
+                          min_size=1, max_size=3))
+    mirrored = [Factor(a, step * a, k, sign * e)
+                for a, step, k, e in pairs for sign in (1, -1)]
+    others = list(draw(factors)[:2])
+    return ProductSpec(tuple(draw(st.permutations(mirrored + others))),
+                       scalar=draw(st.integers(-3, 3)), q_shift=draw(st.integers(0, 3)),
+                       z_shift=draw(st.integers(-3, 3)))
+
+
 STATISTIC_SPECS = ([(f"V_{t}", multirank_spec(t)) for t in range(1, 11)]
                    + [("W_2", vector_crank_spec()), ("kim", kim_star_spec())])
 
@@ -271,6 +326,25 @@ class TestPackedLanes:
     @pytest.mark.parametrize("precision, z_mod", [(150, 5), (150, 7), (40, None)])
     def test_statistic_specs_match_the_dict_route(self, name, spec, precision, z_mod):
         assert expand_bivariate(spec, precision, z_mod).rows == dict_route(
+            spec, precision, z_mod)
+
+    @given(spec=mirrored_specs(), precision=st.integers(0, 30))
+    @example(spec=ProductSpec((Factor(1, 1, -1, 1), Factor(1, 2, -1, -1),
+                               Factor(1, 2, -1, 1), Factor(1, 1, -1, -1))), precision=20)
+    @settings(max_examples=150, deadline=None)
+    def test_mirrored_pairs_match_the_dict_route(self, spec, precision):
+        assert _mirror_pairs([fac for fac in spec.factors if fac.z_exp])[0]
+        for z_mod in Z_MODS:
+            assert expand_bivariate(spec, precision, z_mod).rows == dict_route(
+                spec, precision, z_mod)
+
+    @pytest.mark.parametrize("name, spec", STATISTIC_SPECS)
+    @pytest.mark.parametrize("precision, z_mod", [(405, 5), (425, 7), (100, None)])
+    def test_statistic_specs_match_the_rotation_route(self, name, spec, precision,
+                                                      z_mod):
+        # the equidistribution checks' sizes and an unfolded one; every
+        # z-factor of these specs pairs up
+        assert expand_bivariate(spec, precision, z_mod).rows == rotation_route(
             spec, precision, z_mod)
 
     @given(spec=specs, precision=st.integers(0, 30), z_mod=st.sampled_from(Z_MODS))

@@ -45,3 +45,22 @@ def test_the_packed_cutoff_is_where_the_tracer_reads_it():
     from qdissect import series
 
     assert isinstance(series._PACKED_CUTOFF, int) and series._PACKED_CUTOFF > 1
+
+
+def test_series_counts_goes_through_the_traced_expansion(monkeypatch):
+    # the tracer books the bivariate expansion on combinatorics.expand_bivariate;
+    # were series_counts to inline or rename that call, the span would vanish
+    from qdissect import combinatorics
+
+    calls = []
+    expand = combinatorics.expand_bivariate
+
+    def recording(spec, precision, z_mod=None):
+        calls.append((spec, precision, z_mod))
+        return expand(spec, precision, z_mod=z_mod)
+
+    monkeypatch.setattr(combinatorics, "expand_bivariate", recording)
+    combinatorics.series_counts("V", 4, 20, z_mod=5)
+    combinatorics.series_counts("W2", None, 20)
+    assert calls == [(combinatorics.multirank_spec(4), 20, 5),
+                     (combinatorics.vector_crank_spec(), 20, None)]
