@@ -6,14 +6,13 @@ straight from their definitions, with no generating functions involved.
 A family is seven component records (class, weight, statistic).  Vector
 listings walk every vector; a statistic distribution convolves one table
 per record over sizes, which needs no product formula either, only the
-partition classes and the records' two functions.  The series layer
-must reproduce these counts exactly.
+partition classes (listed once per call, cached nowhere) and the records'
+two functions.  The series layer must reproduce these counts exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .bivariate import BivariateSeries
@@ -67,9 +66,8 @@ _CLASS_RULES = {
 }
 
 
-@lru_cache(maxsize=None)
 def enumerate_class(n: int, cls: str) -> tuple:
-    """All members of a partition class at size n (complete, no duplicates)."""
+    """All members of a partition class at size n (complete, no duplicates, not cached)."""
     if n < 0:
         raise ValueError("partition size must be >= 0")
     if cls not in _CLASS_RULES:
@@ -182,7 +180,7 @@ def family_t(family: str, t: Optional[int]) -> int:
 def _valued(family, t, n, rank_coefficient, allow_large):
     """The guard both routes share, then the family's size scales and, per
     component record and size, the (member, weight, statistic) of each
-    member of its class."""
+    member of its class; the records of one class share its listing."""
     t = family_t(family, t)
     if n < 0:
         raise ValueError("partition size must be >= 0")
@@ -192,10 +190,13 @@ def _valued(family, t, n, rank_coefficient, allow_large):
             "pass allow_large=True to override"
         )
     scales = (1, 1, 1, 1, 1, t, t)
-    valued = [[[(m, weight(m), statistic(m)) for m in enumerate_class(size, cls)]
+    records = _components(family, rank_coefficient)
+    listed = {key: enumerate_class(*key)
+              for key in {(size, cls) for (cls, _, _), scale in zip(records, scales)
+                          for size in range(n // scale + 1)}}
+    valued = [[[(m, weight(m), statistic(m)) for m in listed[size, cls]]
                for size in range(n // scale + 1)]
-              for (cls, weight, statistic), scale
-              in zip(_components(family, rank_coefficient), scales)]
+              for (cls, weight, statistic), scale in zip(records, scales)]
     return scales, valued
 
 
@@ -373,23 +374,21 @@ def series_counts(
 # parity-weighted counts and friends
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _partition_count(n: int, max_part: int) -> int:
-    if n == 0:
-        return 1
-    if max_part == 0:
-        return 0
-    total = 0
-    for first in range(min(n, max_part), 0, -1):
-        total += _partition_count(n - first, first)
-    return total
+def partition_counts(n: int) -> list:
+    """[p(0), ..., p(n)] by largest part allowed: after ``part`` the table
+    counts partitions into parts <= part.  O(n^2) time, O(n) memory."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    return p
 
 
 def partition_p(n: int) -> int:
-    """p(n), by part-bounded dynamic programming (no series involved)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _partition_count(n, n)
+    """p(n), the last entry of ``partition_counts(n)``."""
+    return partition_counts(n)[n]
 
 
 def pentagonal_d(n: int) -> int:

@@ -140,7 +140,7 @@ def test_criterion_8_negative_controls_and_skips():
         len(controls) == 3
         and all(r.status == "fail" and r.counterexample is not None for r in raw)
     )
-    starved = verification.run_suite(precision=10, enum_limit=4)
+    starved = verification.run_suite(precision=10)
     no_false_pass = {r.status for r in starved} <= {"pass", "skipped"} and any(
         r.status == "skipped" for r in starved
     )

@@ -1,9 +1,10 @@
+import sys
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from qdissect import theta
+from qdissect import combinatorics, theta
 from qdissect.combinatorics import (
     ENUMERATION_LIMIT,
     ONE_DOUBLE_STAR,
@@ -13,6 +14,7 @@ from qdissect.combinatorics import (
     enumerate_vectors,
     kim_star_spec,
     parity_weighted_enumeration,
+    partition_counts,
     partition_p,
     pentagonal_d,
     residue_classes,
@@ -269,6 +271,15 @@ class TestScalarOracles:
     def test_partition_p(self):
         got = [partition_p(n) for n in range(11)]
         assert got == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+        with pytest.raises(ValueError):
+            partition_p(-1)
+
+    def test_partition_p_counts_the_listing(self):
+        assert all(partition_p(n) == len(enumerate_class(n, "P")) for n in range(21))
+
+    def test_partition_counts_match_the_series(self):
+        assert tuple(partition_counts(1000)) == theta.build("p", 1001).coeffs
+        assert partition_p(1000) == 24061467864032622473692149727991
 
     def test_pentagonal_d_matches_series(self):
         d = theta.build("d", 60)
@@ -283,3 +294,47 @@ class TestScalarOracles:
         assert all(
             parity_weighted_enumeration("W2", None, n) == d[n] for n in range(7)
         )
+
+
+def _warm_caches() -> list:
+    """Program caches holding entries: any ``functools`` cache in a
+    qdissect module, or a non-empty module-level dict named ``*_CACHE``."""
+    warm = []
+    for modname, module in sorted(sys.modules.items()):
+        if not modname.startswith("qdissect"):
+            continue
+        for name, obj in vars(module).items():
+            info = getattr(obj, "cache_info", None)
+            if callable(info) and info().currsize:
+                warm.append(f"{modname}.{name}")
+            elif name.endswith("_CACHE") and isinstance(obj, dict) and obj:
+                warm.append(f"{modname}.{name}")
+    return warm
+
+
+class TestNoCacheOutlivesACall:
+    def test_only_the_build_store_holds_entries(self):
+        theta.build("p", 10)
+        statistic_distribution("V", 1, 20, allow_large=True)
+        enumerate_vectors("W2", None, 6)
+        assert _warm_caches() == ["qdissect.theta._BUILD_CACHE"]
+
+    @pytest.mark.parametrize("family, t, last", [
+        ("V", 1, {"P": 9}), ("V", 3, {"P": 3}), ("W2", None, {"PSTAR": 4})])
+    def test_each_size_and_class_is_listed_once_per_call(self, monkeypatch,
+                                                         family, t, last):
+        # the last two records list their class up to n // t, the rest up to n
+        calls = Counter()
+        original = enumerate_class
+
+        def counting(n, cls):
+            calls[n, cls] += 1
+            return original(n, cls)
+
+        monkeypatch.setattr(combinatorics, "enumerate_class", counting)
+        tops = {"DE": 9, "O": 9, **last}
+        for route in (statistic_distribution, enumerate_vectors):
+            calls.clear()
+            route(family, t, 9)
+            assert calls == Counter((n, cls) for cls, top in tops.items()
+                                    for n in range(top + 1))

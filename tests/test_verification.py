@@ -147,6 +147,18 @@ class TestOtherChecks:
         with pytest.raises(ValueError):
             EquidistributionSpec("e", "V", 4, modulus, step, offset, n_max)
 
+    def test_equidistribution_spec_rejects_an_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            EquidistributionSpec("e", "X", None, 5, 5, 3, 10)
+
+    def test_oracle_rejects_a_t_for_w2(self):
+        with pytest.raises(ValueError, match="W2 fixes t = 2"):
+            check_oracle_agreement("W2", 3, 10, precision=5)
+
+    def test_oracle_rejects_v_without_t(self):
+        with pytest.raises(ValueError, match="requires --t"):
+            check_oracle_agreement("V", None, 10, precision=5)
+
     def test_chl_relation(self):
         assert check_relation_chl(20, 400).status == "pass"
         assert check_relation_chl(150, 100).status == "skipped"
@@ -173,12 +185,12 @@ class TestOtherChecks:
 
 @pytest.fixture(scope="module")
 def unfiltered():
-    return {r.id: r for r in run_suite(precision=220, enum_limit=4)}
+    return {r.id: r for r in run_suite(precision=220)}
 
 
 class TestSuite:
     def test_low_precision_run_never_falsely_passes(self):
-        reports = run_suite(precision=10, enum_limit=4)
+        reports = run_suite(precision=10)
         assert reports
         assert {r.status for r in reports} <= {"pass", "skipped"}
         assert not suite_failed(reports)
@@ -191,12 +203,12 @@ class TestSuite:
             ("skipped", "needs precision 11, have 10")] * 5
 
     def test_deterministic_order(self):
-        a = [(r.id, r.status) for r in run_suite(precision=10, enum_limit=4)]
-        b = [(r.id, r.status) for r in run_suite(precision=10, enum_limit=4)]
+        a = [(r.id, r.status) for r in run_suite(precision=10)]
+        b = [(r.id, r.status) for r in run_suite(precision=10)]
         assert a == b
 
     def test_name_filter(self):
-        reports = run_suite(precision=10, name_filter="mod5", enum_limit=4)
+        reports = run_suite(precision=10, name_filter="mod5")
         assert reports
         assert all("mod5" in r.id for r in reports)
 
@@ -221,7 +233,7 @@ class TestSuite:
             del out["millis"]
             return out
 
-        got = run_suite(precision=220, name_filter=name_filter, enum_limit=4)
+        got = run_suite(precision=220, name_filter=name_filter)
         assert [r.id for r in got] == [i for i in unfiltered if name_filter in i]
         assert [strip(r) for r in got] == [strip(unfiltered[r.id]) for r in got]
 
@@ -230,7 +242,7 @@ class TestSuite:
             run_suite(precision=10, name_filter="none-such")
 
     def test_unique_ids(self):
-        ids = [r.id for r in run_suite(precision=10, enum_limit=4)]
+        ids = [r.id for r in run_suite(precision=10)]
         assert len(ids) == len(set(ids))
 
     def test_suite_failed_detects_failure(self):
