@@ -53,14 +53,22 @@ def _default_precision() -> int:
         raise ValueError(f"invalid {ENV_PRECISION}: {exc}")
 
 
+def _json(obj) -> str:
+    """Compact JSON on one line: one-shot ``json.dumps`` runs the C encoder."""
+    return json.dumps(obj)
+
+
 def _write(text: str, output: Optional[str]):
+    """Write ``text``, ending in one newline, to stdout or to the file ``output``."""
+    text += "" if text.endswith("\n") else "\n"
     if output is None or output == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(output, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 _SERIES_ALIASES = {"w_t": "w", "c_t": "c", "phi-neg": "phi_neg", "f_k": "f"}
@@ -93,7 +101,7 @@ def cmd_expand(args) -> int:
             "precision": args.precision,
             "coefficients": series.to_decimal_strings(),
         }
-        _write(json.dumps(payload, indent=2), args.output)
+        _write(_json(payload), args.output)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -109,7 +117,7 @@ def cmd_expand(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.list:
-        _write(json.dumps(theta.catalog_summaries(), indent=2), args.output)
+        _write(_json(theta.catalog_summaries()), args.output)
         return EXIT_OK
     entries = theta.catalog()
     if args.id:
@@ -127,7 +135,7 @@ def cmd_verify(args) -> int:
             "millis": round(report.millis, 3),
         })
     if args.format == "json":
-        _write(json.dumps(rows, indent=2), args.output)
+        _write(_json(rows), args.output)
     else:
         _write("\n".join(f"{r['id']}: {r['status']} (N={r['precision']})" for r in rows),
                args.output)
@@ -141,7 +149,7 @@ def cmd_suite(args) -> int:
         lines = [f"{r.id}: {r.status}" for r in reports]
         _write("\n".join(lines), args.output)
     else:
-        _write(json.dumps(payload, indent=2), args.output)
+        _write(_json(payload), args.output)
     return _exit_code(reports, args.precision)
 
 
@@ -191,7 +199,7 @@ def _table(args, family: str, t: Optional[int]) -> int:
             "residue_classes": {str(k): str(c) for k, c in enumerate(summary)},
             "total": str(sum(dist.values())),
         }
-        _write(json.dumps(payload, indent=2), args.output)
+        _write(_json(payload), args.output)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -221,7 +229,7 @@ def cmd_sweep(args) -> int:
         "sweep", name, param, args.a, args.b, args.mod, args.nmax,
     )
     report = verification.check_congruence(spec, args.precision)
-    _write(json.dumps(report.to_dict(), indent=2), args.output)
+    _write(_json(report.to_dict()), args.output)
     return _exit_code([report], args.precision)
 
 

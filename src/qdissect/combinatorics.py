@@ -200,28 +200,6 @@ def _valued(family, t, n, rank_coefficient, allow_large):
     return scales, valued
 
 
-def _walk(family, t, n, rank_coefficient, allow_large):
-    """An iterator of (components, weight, statistic) over the family's
-    vector partitions of n.  Each component is picked by size, then in
-    class order; the last one takes exactly the size that is left."""
-    scales, valued = _valued(family, t, n, rank_coefficient, allow_large)
-    last = len(valued) - 1
-
-    def rec(i, remaining, chosen, weight, statistic):
-        scale = scales[i]
-        if i == last:
-            if remaining % scale == 0:
-                for member, w, s in valued[i][remaining // scale]:
-                    yield (*chosen, member), weight * w, statistic + s
-            return
-        for size in range(remaining // scale + 1):
-            for member, w, s in valued[i][size]:
-                yield from rec(i + 1, remaining - scale * size, (*chosen, member),
-                               weight * w, statistic + s)
-
-    return rec(0, n, (), 1, 0)
-
-
 def enumerate_vectors(
     family: str,
     t: Optional[int],
@@ -231,11 +209,35 @@ def enumerate_vectors(
 ) -> list:
     """All vector partitions of n in V_t or W_2, with weight and statistic.
 
+    Components are picked by size, then in class order.  The last three
+    records are listed once per size left, as (components, weight,
+    statistic) tails; each choice of the first four appends its tail whole.
+
     ``rank_coefficient`` generalizes the multirank: any coefficient not
     divisible by 5 on the last component pair works; 2 is the default.
     """
-    return [VectorPartition(*vector)
-            for vector in _walk(family, t, n, rank_coefficient, allow_large)]
+    scales, valued = _valued(family, t, n, rank_coefficient, allow_large)
+    head = len(valued) - 3
+    tail = [[((), 1, 0)]] + [[] for _ in range(n)]
+    for scale, members in reversed(list(zip(scales, valued))[head:]):
+        tail = [[((m, *c), w * w2, s + s2)
+                 for size in range(r // scale + 1) for m, w, s in members[size]
+                 for c, w2, s2 in tail[r - scale * size]] for r in range(n + 1)]
+    out = []
+
+    def rec(i, remaining, chosen, weight, statistic):
+        if i == head:
+            out.extend([VectorPartition((*chosen, *c), weight * w, statistic + s)
+                        for c, w, s in tail[remaining]])
+            return
+        scale = scales[i]
+        for size in range(remaining // scale + 1):
+            for member, w, s in valued[i][size]:
+                rec(i + 1, remaining - scale * size, (*chosen, member),
+                    weight * w, statistic + s)
+
+    rec(0, n, (), 1, 0)
+    return out
 
 
 def statistic_distribution(

@@ -78,7 +78,18 @@ class TestExpand:
                            "--output", str(path))
         assert code == 0
         assert out == ""
-        assert path.read_text() == "0: 1\n1: 0\n2: -1"
+        assert path.read_text() == "0: 1\n1: 0\n2: -1\n"
+
+    def test_json_ends_in_one_newline_on_stdout_and_in_a_file(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        argv = ("expand", "--series", "p", "--precision", "4", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.endswith("}\n") and not out.endswith("\n\n")
+        code, printed, _ = run(capsys, *argv, "--output", str(path))
+        assert code == 0
+        assert printed == ""
+        assert path.read_text() == out
 
     @pytest.mark.parametrize("precision", ["0", "-1"])
     def test_nonpositive_precision_is_usage_error(self, capsys, precision):
@@ -221,6 +232,20 @@ class TestTables:
             got = [row[3] for row in list(csv.reader(io.StringIO(out)))[1:len(want) + 1]]
         assert got == want
 
+    def test_json_is_one_line_with_the_csv_rows_in_order(self, capsys):
+        argv = ("ranktable", "--family", "V", "--t", "3", "--n", "5")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out.endswith("\n") and "\n" not in out[:-1]
+        got = [[v["components"], str(v["weight"]), str(v["statistic"])]
+               for v in json.loads(out)["vectors"]]
+        code, table, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(table)))
+        want = [row[3:] for row in rows[1:rows.index([])]]
+        assert len(want) > 100
+        assert got == want
+
     def test_ranktable_requires_t(self, capsys):
         code, _, err = run(capsys, "ranktable", "--family", "V", "--n", "3")
         assert code == 2
@@ -319,6 +344,21 @@ class TestSweep:
                                 "--a", "7", "--b", "4", *flags)
         assert code == 2
         assert message in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ("ranktable", "--family", "V", "--t", "4", "--n", "3", "--format", "json"),
+        ("sweep", "--series", "w", "--t", "2", "--a", "7", "--b", "4", "--mod", "7",
+         "--nmax", "5", "--precision", "50"),
+    ], ids=["ranktable", "sweep"])
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+        assert not path.parent.exists()
 
 
 class TestEnvironment:

@@ -267,6 +267,40 @@ class TestWalkAgainstBruteForce:
             assert got == _brute_force(family, t, n, h), (family, t, h, n)
 
 
+def dfs_walk(family, t, n, h=2):
+    """The generator walk the tabulated tails replaced: (components, weight,
+    statistic) per vector, each component picked by size, then in class
+    order, and the last one taking exactly the size that is left."""
+    scales, valued = combinatorics._valued(family, t, n, h, False)
+    last = len(valued) - 1
+
+    def rec(i, remaining, chosen, weight, statistic):
+        scale = scales[i]
+        if i == last:
+            if remaining % scale == 0:
+                for member, w, s in valued[i][remaining // scale]:
+                    yield (*chosen, member), weight * w, statistic + s
+            return
+        for size in range(remaining // scale + 1):
+            for member, w, s in valued[i][size]:
+                yield from rec(i + 1, remaining - scale * size, (*chosen, member),
+                               weight * w, statistic + s)
+
+    return list(rec(0, n, (), 1, 0))
+
+
+class TestListingAgainstWalk:
+    @pytest.mark.parametrize("family, t, h", [
+        ("V", t, h) for t in range(1, 8) for h in (1, 2, 3)] + [("W2", None, 2)])
+    def test_vectors_equal_the_walk_in_order(self, family, t, h):
+        for n in range(13):
+            vectors = enumerate_vectors(family, t, n, rank_coefficient=h)
+            # a list, not an iterator: callers take its len()
+            assert type(vectors) is list
+            got = [(v.components, v.weight, v.statistic) for v in vectors]
+            assert got == dfs_walk(family, t, n, h), (family, t, h, n)
+
+
 class TestScalarOracles:
     def test_partition_p(self):
         got = [partition_p(n) for n in range(11)]
