@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -165,52 +166,34 @@ def _exit_code(reports: list, precision: int) -> int:
     return EXIT_OK
 
 
-class _Labels(dict):
-    """Component labels by member, each rendered on first use."""
-
-    def __missing__(self, member):
-        label = self[member] = comb.star_label(member)
-        return label
+# one row of a table's "vectors": labels are brackets, digits, commas and
+# stars, which JSON writes as they are
+_JSON_ROW = '{"components": "%s", "weight": %d, "statistic": %d}'
 
 
 def _table(args, family: str, t: Optional[int]) -> int:
     t = comb.family_t(family, t)
-    vectors = comb.enumerate_vectors(family, t, args.n, allow_large=args.allow_large)
-    dist = {}
-    for v in vectors:
-        dist[v.statistic] = dist.get(v.statistic, 0) + v.weight
-    # a table repeats few distinct members many times: render each once
-    labels = _Labels()
-    rendered = [v.render_components(labels.__getitem__) for v in vectors]
+    rows = comb.vector_rows(family, t, args.n, allow_large=args.allow_large)
+    dist = comb.statistic_distribution(family, t, args.n, allow_large=args.allow_large)
     summary = comb.residue_classes(dist, args.modulus)
+    total = sum(dist.values())
     if args.format == "json":
-        payload = {
-            "family": family,
-            "t": t,
-            "n": args.n,
-            "vectors": [
-                {
-                    "components": components,
-                    "weight": v.weight,
-                    "statistic": v.statistic,
-                }
-                for v, components in zip(vectors, rendered)
-            ],
-            "residue_classes": {str(k): str(c) for k, c in enumerate(summary)},
-            "total": str(sum(dist.values())),
-        }
-        _write(_json(payload), args.output)
+        # the payload of json.dumps, with the rows spliced in as text
+        head = _json({"family": family, "t": t, "n": args.n})
+        foot = _json({"residue_classes": {str(k): str(c) for k, c in enumerate(summary)},
+                      "total": str(total)})
+        vectors = ", ".join(map(_JSON_ROW.__mod__, rows))
+        _write(f'{head[:-1]}, "vectors": [{vectors}], {foot[1:]}', args.output)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["family", "t", "n", "components", "weight", "statistic"])
-        for v, components in zip(vectors, rendered):
-            writer.writerow([family, t, args.n, components, v.weight, v.statistic])
+        writer.writerows([(family, t, args.n, *row) for row in rows])
         writer.writerow([])
         writer.writerow(["residue", "weighted_count"])
         for k, c in enumerate(summary):
             writer.writerow([k, c])
-        writer.writerow(["total", sum(dist.values())])
+        writer.writerow(["total", total])
         _write(buf.getvalue(), args.output)
     return EXIT_OK
 
@@ -302,10 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(output: Optional[str]):
+    """Reject an output file whose directory is missing before any work is
+    done; nothing is created or truncated.  ``_write`` checks again."""
+    if output is None or output == "-":
+        return
+    directory = os.path.dirname(output) or "."
+    if not os.path.isdir(directory):
+        reason = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise ValueError(f"cannot write {output}: {os.strerror(reason)}")
+
+
 def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        _check_output(args.output)
         return args.func(args)
     except SystemExit:
         raise

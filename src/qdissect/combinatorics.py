@@ -4,7 +4,8 @@ This module is the oracle for the series layer: partition classes, the
 crank, the multirank and vector-crank statistics are all computed
 straight from their definitions, with no generating functions involved.
 A family is seven component records (class, weight, statistic).  Vector
-listings walk every vector; a statistic distribution convolves one table
+listings walk every vector, one kernel giving either the components or
+the text of a table row; a statistic distribution convolves one table
 per record over sizes, which needs no product formula either, only the
 partition classes (listed once per call, cached nowhere) and the records'
 two functions.  The series layer must reproduce these counts exactly.
@@ -159,9 +160,9 @@ class VectorPartition:
     weight: int
     statistic: int
 
-    def render_components(self, label: Callable = star_label) -> str:
-        """The components' labels joined by ";"; ``label`` renders one member."""
-        return ";".join(map(label, self.components))
+    def render_components(self) -> str:
+        """The components' labels joined by ";"."""
+        return ";".join(map(star_label, self.components))
 
 
 def family_t(family: str, t: Optional[int]) -> int:
@@ -200,6 +201,40 @@ def _valued(family, t, n, rank_coefficient, allow_large):
     return scales, valued
 
 
+def _walk(family, t, n, rank_coefficient, allow_large, piece, empty) -> list:
+    """(joined pieces, weight, statistic) of every vector of n, in walk order.
+
+    Components are picked by size, then in class order; ``piece(i, member)``
+    is record i's part of the join and ``empty`` starts it.  The last three
+    records are listed once per size left, as tails; each choice of the
+    first four appends its tail whole.
+    """
+    scales, valued = _valued(family, t, n, rank_coefficient, allow_large)
+    valued = [[[(piece(i, m), w, s) for m, w, s in row] for row in rows]
+              for i, rows in enumerate(valued)]
+    head = len(valued) - 3
+    tail = [[(empty, 1, 0)]] + [[] for _ in range(n)]
+    for scale, members in reversed(list(zip(scales, valued))[head:]):
+        tail = [[(p + c, w * w2, s + s2)
+                 for size in range(r // scale + 1) for p, w, s in members[size]
+                 for c, w2, s2 in tail[r - scale * size]] for r in range(n + 1)]
+    out = []
+
+    def rec(i, remaining, chosen, weight, statistic):
+        if i == head:
+            out.extend([(chosen + c, weight * w, statistic + s)
+                        for c, w, s in tail[remaining]])
+            return
+        scale = scales[i]
+        for size in range(remaining // scale + 1):
+            for p, w, s in valued[i][size]:
+                rec(i + 1, remaining - scale * size, chosen + p,
+                    weight * w, statistic + s)
+
+    rec(0, n, empty, 1, 0)
+    return out
+
+
 def enumerate_vectors(
     family: str,
     t: Optional[int],
@@ -207,37 +242,33 @@ def enumerate_vectors(
     rank_coefficient: int = 2,
     allow_large: bool = False,
 ) -> list:
-    """All vector partitions of n in V_t or W_2, with weight and statistic.
-
-    Components are picked by size, then in class order.  The last three
-    records are listed once per size left, as (components, weight,
-    statistic) tails; each choice of the first four appends its tail whole.
+    """All vector partitions of n in V_t or W_2, with weight and statistic,
+    in walk order: components picked by size, then in class order.
 
     ``rank_coefficient`` generalizes the multirank: any coefficient not
     divisible by 5 on the last component pair works; 2 is the default.
     """
-    scales, valued = _valued(family, t, n, rank_coefficient, allow_large)
-    head = len(valued) - 3
-    tail = [[((), 1, 0)]] + [[] for _ in range(n)]
-    for scale, members in reversed(list(zip(scales, valued))[head:]):
-        tail = [[((m, *c), w * w2, s + s2)
-                 for size in range(r // scale + 1) for m, w, s in members[size]
-                 for c, w2, s2 in tail[r - scale * size]] for r in range(n + 1)]
-    out = []
+    vectors = _walk(family, t, n, rank_coefficient, allow_large,
+                    lambda i, member: (member,), ())
+    # in place, so that each row is freed as its vector is made
+    for k, row in enumerate(vectors):
+        vectors[k] = VectorPartition(*row)
+    return vectors
 
-    def rec(i, remaining, chosen, weight, statistic):
-        if i == head:
-            out.extend([VectorPartition((*chosen, *c), weight * w, statistic + s)
-                        for c, w, s in tail[remaining]])
-            return
-        scale = scales[i]
-        for size in range(remaining // scale + 1):
-            for member, w, s in valued[i][size]:
-                rec(i + 1, remaining - scale * size, (*chosen, member),
-                    weight * w, statistic + s)
 
-    rec(0, n, (), 1, 0)
-    return out
+def vector_rows(family: str, t: Optional[int], n: int, allow_large: bool = False) -> list:
+    """(components text, weight, statistic) of each vector of ``enumerate_vectors``,
+    in the same order, the text equal to its ``render_components()``.  One walk
+    joins the labels; each distinct member is rendered once."""
+    labels = {}
+
+    def piece(i, member):
+        label = labels.get(member)
+        if label is None:
+            label = labels[member] = star_label(member)
+        return label if i == 0 else ";" + label
+
+    return _walk(family, t, n, 2, allow_large, piece, "")
 
 
 def statistic_distribution(

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qdissect import cli, theta
+from qdissect import cli, theta, verification
+from qdissect import combinatorics as comb
 from qdissect.verification import CongruenceSpec, check_congruence
 
 
@@ -246,6 +247,30 @@ class TestTables:
         assert len(want) > 100
         assert got == want
 
+    @pytest.mark.parametrize("argv, family, t", [
+        (("ranktable", "--family", "V", "--t", str(t)), "V", t) for t in range(1, 8)
+    ] + [(("cranktable", "--modulus", "7"), "W2", 2)])
+    def test_json_is_the_dumps_of_the_payload(self, capsys, argv, family, t):
+        modulus = 7 if family == "W2" else 5
+        for n in range(9):
+            code, out, _ = run(capsys, *argv, "--n", str(n), "--format", "json")
+            assert code == 0
+            dist = comb.statistic_distribution(family, t, n)
+            payload = {
+                "family": family,
+                "t": t,
+                "n": n,
+                "vectors": [
+                    {"components": v.render_components(), "weight": v.weight,
+                     "statistic": v.statistic}
+                    for v in comb.enumerate_vectors(family, t, n)
+                ],
+                "residue_classes": {str(k): str(c) for k, c in
+                                    enumerate(comb.residue_classes(dist, modulus))},
+                "total": str(sum(dist.values())),
+            }
+            assert out == json.dumps(payload) + "\n", (family, t, n)
+
     def test_ranktable_requires_t(self, capsys):
         code, _, err = run(capsys, "ranktable", "--family", "V", "--n", "3")
         assert code == 2
@@ -359,6 +384,31 @@ class TestUnwritableOutput:
         assert out == ""
         assert err == f"error: cannot write {path}: No such file or directory\n"
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("argv, work", [
+        (("ranktable", "--family", "V", "--t", "4", "--n", "3", "--format", "json"),
+         (comb, "vector_rows")),
+        (("sweep", "--series", "w", "--t", "2", "--a", "7", "--b", "4", "--mod", "7",
+          "--nmax", "4000", "--precision", "4000"), (verification, "check_congruence")),
+    ], ids=["ranktable", "sweep"])
+    @pytest.mark.parametrize("parent, reason", [
+        ("missing", "No such file or directory"),
+        ("a-file", "Not a directory"),
+    ], ids=["missing", "not-a-directory"])
+    def test_rejected_before_the_work(self, capsys, monkeypatch, tmp_path, argv, work,
+                                      parent, reason):
+        def fail(*args, **kwargs):
+            raise AssertionError("the command ran before its output was checked")
+
+        monkeypatch.setattr(*work, fail)
+        (tmp_path / "a-file").write_text("kept\n")
+        path = tmp_path / parent / "x"
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+        assert (tmp_path / "a-file").read_text() == "kept\n"
 
 
 class TestEnvironment:

@@ -1,3 +1,4 @@
+import json
 import sys
 from collections import Counter
 from itertools import product
@@ -20,8 +21,10 @@ from qdissect.combinatorics import (
     residue_classes,
     series_counts,
     star_crank,
+    star_label,
     star_weight,
     statistic_distribution,
+    vector_rows,
     weighted_count,
 )
 from qdissect.products import expand_bivariate
@@ -299,6 +302,29 @@ class TestListingAgainstWalk:
             assert type(vectors) is list
             got = [(v.components, v.weight, v.statistic) for v in vectors]
             assert got == dfs_walk(family, t, n, h), (family, t, h, n)
+
+
+class TestRowsAgainstVectors:
+    @pytest.mark.parametrize("family, t", [("V", t) for t in range(1, 8)] + [("W2", None)])
+    def test_rows_render_the_vectors_in_order(self, family, t):
+        for n in range(11):
+            want = [(v.render_components(), v.weight, v.statistic)
+                    for v in enumerate_vectors(family, t, n)]
+            assert vector_rows(family, t, n) == want, (family, t, n)
+
+    def test_rows_keep_the_guard(self):
+        with pytest.raises(ValueError, match="allow_large"):
+            vector_rows("V", 1, ENUMERATION_LIMIT + 1)
+        with pytest.raises(ValueError, match="requires --t"):
+            vector_rows("V", None, 2)
+
+    def test_labels_need_no_json_escape(self):
+        # the CLI splices labels into JSON strings without encoding them
+        for cls in ("P", "O", "DE", "DO", "PSTAR"):
+            for n in range(13):
+                for member in enumerate_class(n, cls):
+                    label = star_label(member)
+                    assert json.dumps(label) == '"' + label + '"', label
 
 
 class TestScalarOracles:
