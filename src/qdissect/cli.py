@@ -44,7 +44,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_precision() -> int:
+def _precision(args) -> int:
+    """``--precision`` of suite and sweep, else ``QDISSECT_PRECISION``,
+    which only those two commands read, else the suite's default."""
+    if args.precision is not None:
+        return args.precision
     value = os.environ.get(ENV_PRECISION)
     if value is None:
         return verification.DEFAULT_PRECISION
@@ -123,18 +127,16 @@ def cmd_verify(args) -> int:
     entries = theta.catalog()
     if args.id:
         entries = [theta.catalog_entry(args.id)]
-    failed = False
-    rows = []
-    for entry in entries:
-        report = theta.verify_entry(entry, args.precision)
-        failed = failed or report.status != "pass"
-        rows.append({
-            "id": report.id,
-            "status": report.status,
-            "precision": report.precision,
-            "mismatch_index": report.mismatch_index,
-            "millis": round(report.millis, 3),
-        })
+    with theta.planned(r for e in entries for r in theta.entry_requests(e, args.precision)):
+        reports = [theta.verify_entry(entry, args.precision) for entry in entries]
+    failed = any(report.status != "pass" for report in reports)
+    rows = [{
+        "id": report.id,
+        "status": report.status,
+        "precision": report.precision,
+        "mismatch_index": report.mismatch_index,
+        "millis": round(report.millis, 3),
+    } for report in reports]
     if args.format == "json":
         _write(_json(rows), args.output)
     else:
@@ -144,14 +146,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    reports = verification.run_suite(args.precision, name_filter=args.filter)
+    precision = _precision(args)
+    reports = verification.run_suite(precision, name_filter=args.filter)
     payload = [r.to_dict() for r in reports]
     if args.format == "plain":
         lines = [f"{r.id}: {r.status}" for r in reports]
         _write("\n".join(lines), args.output)
     else:
         _write(_json(payload), args.output)
-    return _exit_code(reports, args.precision)
+    return _exit_code(reports, precision)
 
 
 def _exit_code(reports: list, precision: int) -> int:
@@ -211,9 +214,10 @@ def cmd_sweep(args) -> int:
     spec = verification.CongruenceSpec(
         "sweep", name, param, args.a, args.b, args.mod, args.nmax,
     )
-    report = verification.check_congruence(spec, args.precision)
+    precision = _precision(args)
+    report = verification.check_congruence(spec, precision)
     _write(_json(report.to_dict()), args.output)
-    return _exit_code([report], args.precision)
+    return _exit_code([report], precision)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,17 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, precision_default=None):
-        p.add_argument("--precision", type=_positive_int,
-                       default=precision_default or _default_precision())
-        p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-        p.add_argument("--output", default=None, help="file path or '-' for stdout")
-
     p = sub.add_parser("expand", help="expand a named series")
     p.add_argument("--series", required=True, help=_SERIES_HELP)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    common(p, precision_default=32)
+    p.add_argument("--precision", type=_positive_int, default=32)
+    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.add_argument("--output", default=None, help="file path or '-' for stdout")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="check identity catalog entries")
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the full theorem suite")
     p.add_argument("--filter", default=None, help="substring filter on item ids")
-    p.add_argument("--precision", type=_positive_int, default=_default_precision())
+    p.add_argument("--precision", type=_positive_int, default=None)
     p.add_argument("--format", choices=("plain", "json"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_suite)
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=int, default=None,
                    help="modulus; omit to demand exact zeros")
     p.add_argument("--nmax", type=int, default=100)
-    p.add_argument("--precision", type=_positive_int, default=_default_precision())
+    p.add_argument("--precision", type=_positive_int, default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -4,8 +4,9 @@ A ProductSpec is a product of generalized Pochhammer symbols
 (z^zExp q^a; q^b)_inf^e, optionally times a leading monomial
 scalar * z^j q^k.  Expansion to any precision is exact; an eta factor
 f_k = (q^k; q^k) comes from Euler's pentagonal sum.  Over the integers
-the expansion divides by each f_k in the denominator through Euler's
-recurrence (``series.divide_by_eta``); taken mod M, and for any
+the expansion divides by each f_k^t in the denominator by sparse
+division (``series.divide_by_eta``: t // 3 passes over Jacobi's terms of
+f_k^3 and t % 3 over Euler's of f_k); taken mod M, and for any
 denominator factor that is not an eta factor, it inverts the product of
 the denominator by Newton iteration (every factor is a unit with
 constant term 1).  A univariate expansion mod M gives exact residues.
@@ -94,9 +95,11 @@ def expand_univariate(
 ) -> QSeries:
     """Expand to ``precision`` coefficients, as residues mod ``modulus``
     when one is given (every factor is a unit, so its inverse exists
-    in Z/MZ too).  Over Z, Euler's recurrence divides out the eta factors
-    of the denominator, avoiding Newton products of coefficients hundreds
-    of bits wide; mod M those products stay narrow and are the faster route.
+    in Z/MZ too).  Over Z, ``divide_by_eta`` divides out each eta factor
+    f_k^t of the denominator, three powers per pass over the sparse terms
+    of f_k^3 and one per pass over those of f_k, avoiding Newton products
+    of coefficients hundreds of bits wide; mod M those products stay
+    narrow and are the faster route.
     """
     if not spec.is_univariate:
         raise ValueError("spec has z-dependence; use expand_bivariate")

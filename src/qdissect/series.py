@@ -381,22 +381,35 @@ def pentagonal_sum(precision: int, k: int = 1) -> QSeries:
     return QSeries(tuple(out))
 
 
-def divide_by_eta(series: QSeries, k: int, times: int = 1) -> QSeries:
-    """``series`` / f_k^times by Euler's recurrence, with no product and no
-    inversion: h = g / f_k solves f_k * h = g, so
-    h[n] = g[n] - sum of sign * h[n - p] over the pentagonal terms with
-    0 < p <= n.  Precision and modulus are preserved."""
-    if times < 0:
-        raise ValueError("times must be >= 0")
-    h = list(series.coeffs)
-    terms = pentagonal_terms(len(h), k)[1:]  # all but the constant term 1
+def cube_terms(precision: int, k: int = 1) -> list:
+    """The (exponent, coefficient) pairs of f_k^3 below q^precision, by
+    increasing exponent: by Jacobi, f_k^3 is the sum over j >= 0 of
+    (-1)^j (2j+1) q^(k*j(j+1)/2), O(sqrt(precision / k)) terms."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
+    terms = []
+    j = 0
+    while k * j * (j + 1) // 2 < precision:
+        terms.append((k * j * (j + 1) // 2, -(2 * j + 1) if j % 2 else 2 * j + 1))
+        j += 1
+    return terms
+
+
+def _divide_sparse(h: list, terms: list) -> None:
+    """Divide h in place by 1 + the sum of c * q^p over ``terms``, the
+    (p, c) pairs with p > 0 by increasing p: h[n] -= c * h[n - p] for
+    each term with p <= n, by ascending n.  From the i-th exponent to
+    the next, the first i + 1 terms take part.  Terms that are all +-1
+    (Euler's) take plain additions and subtractions, with no product."""
     ends = [p for p, _ in terms[1:]] + [len(h)]
-    for _ in range(times):
-        # h[n] for n below the first exponent equals g[n]; from the i-th
-        # exponent to the next, the first i + 1 terms take part
-        for i, (start, _) in enumerate(terms):
-            added = [p for p, sign in terms[: i + 1] if sign < 0]
-            subtracted = [p for p, sign in terms[: i + 1] if sign > 0]
+    unit = all(c in (1, -1) for _, c in terms)
+    for i, (start, _) in enumerate(terms):
+        active = terms[: i + 1]
+        if unit:
+            added = [p for p, c in active if c < 0]
+            subtracted = [p for p, c in active if c > 0]
             for n in range(start, ends[i]):
                 acc = h[n]
                 for p in added:
@@ -404,6 +417,32 @@ def divide_by_eta(series: QSeries, k: int, times: int = 1) -> QSeries:
                 for p in subtracted:
                     acc -= h[n - p]
                 h[n] = acc
+        else:
+            negated = [(p, -c) for p, c in active]
+            for n in range(start, ends[i]):
+                acc = h[n]
+                for p, c in negated:
+                    acc += c * h[n - p]
+                h[n] = acc
+
+
+def divide_by_eta(series: QSeries, k: int, times: int = 1) -> QSeries:
+    """``series`` / f_k^times by sparse division, with no product and no
+    inversion: h = g / s solves s * h = g, so h[n] = g[n] minus the sum
+    of c * h[n - p] over the terms c q^p of s with 0 < p <= n.  Each
+    times // 3 divides by f_k^3 (Jacobi, ``cube_terms``), and each of the
+    times % 3 left by f_k (Euler, ``pentagonal_terms``).  Precision and
+    modulus are preserved."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if times < 0:
+        raise ValueError("times must be >= 0")
+    h = list(series.coeffs)
+    for terms, passes in ((cube_terms, times // 3), (pentagonal_terms, times % 3)):
+        if passes:
+            divisor = terms(len(h), k)[1:]  # all but the constant term 1
+            for _ in range(passes):
+                _divide_sparse(h, divisor)
     return QSeries(tuple(h), series.modulus)
 
 

@@ -10,11 +10,12 @@ statements they encode.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .products import Factor, ProductSpec, eta_quotient, expand_univariate
-from .series import QSeries, equal_upto, product
+from .series import QSeries, cube_terms, equal_upto, product
 from .series import pentagonal_sum  # noqa: F401 (re-export)
 
 
@@ -69,6 +70,29 @@ def series_spec(name: str, param: Optional[int] = None) -> ProductSpec:
 # _BUILD_CACHE_KEYS are held (the full suite uses 41).
 _BUILD_CACHE: dict = {}
 _BUILD_CACHE_KEYS = 64
+# Inside ``planned``: per cache key, the longest length the run will ask
+# for, which a miss builds at once.
+_BUILD_PLAN: dict = {}
+
+
+def _cache_key(name: str, param: Optional[int], modulus: Optional[int]) -> tuple:
+    return (name, param) if modulus is None else (name, param, modulus)
+
+
+@contextmanager
+def planned(builds: Iterable[tuple]):
+    """Within the block, a ``build`` that misses the cache expands its
+    series at the longest length of the (name, param, modulus, length)
+    ``builds`` planned for it (see ``requests``), so that later requests
+    are served prefixes.  The plan is cleared on leaving the block, also
+    on an exception."""
+    for name, param, modulus, length in builds:
+        key = _cache_key(name, param, modulus)
+        _BUILD_PLAN[key] = max(length, _BUILD_PLAN.get(key, 0))
+    try:
+        yield
+    finally:
+        _BUILD_PLAN.clear()
 
 
 def build(
@@ -80,10 +104,11 @@ def build(
 
     Names: f(k), phi, phi_neg, psi, x, w(t), a, a1, a2, c(t), d, p.
     """
-    key = (name, param) if modulus is None else (name, param, modulus)
+    key = _cache_key(name, param, modulus)
     series = _BUILD_CACHE.get(key)
     if series is None or series.precision < precision:
-        series = expand_univariate(series_spec(name, param), precision, modulus)
+        length = max(precision, _BUILD_PLAN.get(key, 0))
+        series = expand_univariate(series_spec(name, param), length, modulus)
         _BUILD_CACHE.pop(key, None)
         _BUILD_CACHE[key] = series
         if len(_BUILD_CACHE) > _BUILD_CACHE_KEYS:
@@ -95,13 +120,11 @@ def build(
 # closed sum forms (cross-checks for the product forms above)
 # ---------------------------------------------------------------------------
 
-def jacobi_cube_sum(precision: int) -> QSeries:
-    """f_1^3 as sum of (-1)^n (2n+1) q^(n(n+1)/2)."""
+def jacobi_cube_sum(precision: int, k: int = 1) -> QSeries:
+    """f_k^3 as the sum of (-1)^n (2n+1) q^(k*n(n+1)/2) (Jacobi)."""
     out = [0] * precision
-    n = 0
-    while n * (n + 1) // 2 < precision:
-        out[n * (n + 1) // 2] += (2 * n + 1) * (-1 if n % 2 else 1)
-        n += 1
+    for e, c in cube_terms(precision, k):
+        out[e] = c
     return QSeries(tuple(out))
 
 
@@ -238,6 +261,29 @@ def evaluate(node, precision: int, modulus: Optional[int] = None) -> QSeries:
         inner = evaluate(node.inner, node.modulus * precision, modulus)
         return inner.dissect(node.modulus, node.residue)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def requests(node, precision: int, modulus: Optional[int] = None):
+    """The (name, param, modulus, length) of each ``build`` that
+    ``evaluate(node, precision, modulus)`` makes, in its order."""
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
+    if isinstance(node, Ref):
+        yield node.name, node.param, modulus, precision
+    elif isinstance(node, (Sum, Mul)):
+        for inner in node.terms if isinstance(node, Sum) else node.factors:
+            yield from requests(inner, precision, modulus)
+    elif isinstance(node, (Scale, Pow)):
+        yield from requests(node.inner, precision, modulus)
+    elif isinstance(node, Shift):
+        if node.exponent < precision:
+            yield from requests(node.inner, precision - node.exponent, modulus)
+    elif isinstance(node, Sub):
+        yield from requests(node.inner, -(-precision // node.exponent), modulus)
+    elif isinstance(node, Dissect):
+        yield from requests(node.inner, node.modulus * precision, modulus)
+    elif not isinstance(node, (Const, Quot)):
+        raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +517,14 @@ def catalog_summaries() -> list:
         }
         for e in catalog()
     ]
+
+
+def entry_requests(entry: IdentityEntry, precision: Optional[int] = None) -> list:
+    """The ``requests`` of both sides of ``verify_entry(entry, precision)``."""
+    if precision is None:
+        precision = entry.default_precision
+    return [*requests(entry.lhs, precision, entry.modulus),
+            *requests(entry.rhs, precision, entry.modulus)]
 
 
 def verify_entry(

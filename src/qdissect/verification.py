@@ -2,13 +2,15 @@
 coefficient relation behind the mod-11 congruence, and negative controls.
 
 Each check is a ``Check`` record (id, kind, statement, needed precision,
-``checked`` range, item count) with a body that builds its series at the
-needed precision and returns None when the claim holds, else
-``(detail, counterexample)``.  One runner, ``_run_check``, skips, times
-and turns every record into a Report: a check that would need more
-series coefficients than the run's precision, or that covers no item,
-reports "skipped", never a false "pass".
-``run_suite`` selects items by id before any of them runs.
+``checked`` range, item count, the series builds it makes) with a body
+that builds its series at the needed precision and returns None when the
+claim holds, else ``(detail, counterexample)``.  One runner, ``_run_check``,
+skips, times and turns every record into a Report: a check that would
+need more series coefficients than the run's precision, or that covers
+no item, reports "skipped", never a false "pass".
+``run_suite`` selects items by id before any of them runs, and builds
+each named series once, at the longest length a selected check that
+runs asks for (``theta.planned``).
 A congruence sweep mod M reads residues mod M; the value it reports for
 a failure comes from the integer expansion, which must agree.
 """
@@ -134,18 +136,25 @@ class Check:
     checked: str     # the range covered, as reported
     body: Callable[[int], Optional[tuple]]  # body(needed): None, or (detail, counterexample)
     items: int = 1   # cases covered; a check of none is skipped
+    builds: tuple = ()  # (name, param, modulus, length) of each theta.build of the body
+
+
+def _skip_reason(check: Check, precision: Optional[int]) -> str:
+    """Why ``check`` is skipped at ``precision``; empty when it runs.
+    ``precision`` None runs the check whatever it needs."""
+    if check.items < 1:
+        return "covers no items"
+    if precision is not None and check.needed > precision:
+        return f"needs precision {check.needed}, have {precision}"
+    return ""
 
 
 def _run_check(check: Check, precision: Optional[int] = None) -> Report:
-    """Skip, or run and time, one check; the only place a Report is made.
-    ``precision`` None runs the check whatever it needs."""
+    """Skip, or run and time, one check; the only place a Report is made."""
     start = time.perf_counter()
     report = Report(check.id, check.kind, check.statement, "skipped", needed=check.needed)
-    if check.items < 1:
-        report.detail = "covers no items"
-    elif precision is not None and check.needed > precision:
-        report.detail = f"needs precision {check.needed}, have {precision}"
-    else:
+    report.detail = _skip_reason(check, precision)
+    if not report.detail:
         outcome = check.body(check.needed)
         report.checked = check.checked
         report.status = "pass" if outcome is None else "fail"
@@ -162,7 +171,7 @@ def _first(counterexamples) -> Optional[tuple]:
     return None
 
 
-def check_congruence(spec: CongruenceSpec, precision: int = DEFAULT_PRECISION) -> Report:
+def _congruence_check(spec: CongruenceSpec) -> Check:
     def body(needed):
         # residues mod the spec's modulus, or integers for exact zeros
         series = theta.build(spec.series, needed, spec.param, spec.modulus)
@@ -180,22 +189,26 @@ def check_congruence(spec: CongruenceSpec, precision: int = DEFAULT_PRECISION) -
                 return "", {"n": n, "index": index, "value": value}
         return None
 
+    # unplanned: the integer build of a failure, no longer than ``needed``
     needed = spec.step * spec.n_max + spec.offset + 1
-    return _run_check(Check(spec.id, "congruence", spec.statement(), needed,
-                            f"n <= {spec.n_max}", body, spec.n_max + 1), precision)
+    return Check(spec.id, "congruence", spec.statement(), needed, f"n <= {spec.n_max}",
+                 body, spec.n_max + 1, ((spec.series, spec.param, spec.modulus, needed),))
 
 
-def check_equidistribution(
-    spec: EquidistributionSpec, precision: int = DEFAULT_PRECISION
-) -> Report:
+def check_congruence(spec: CongruenceSpec, precision: int = DEFAULT_PRECISION) -> Report:
+    return _run_check(_congruence_check(spec), precision)
+
+
+def _equidistribution_check(spec: EquidistributionSpec) -> Check:
     m = spec.statistic_modulus
+    t = comb.family_t(spec.family, spec.t)
     needed = spec.step * spec.n_max + spec.offset + 1
     indices = [spec.step * n + spec.offset for n in range(spec.n_max + 1)]
 
     def body(needed):
         # generating-function route, with z-exponents folded mod m
         buckets = comb.series_counts(spec.family, spec.t, needed, z_mod=m).residue_buckets(m)
-        totals = theta.build("w", needed, comb.family_t(spec.family, spec.t))
+        totals = theta.build("w", needed, t)
         for n, idx in enumerate(indices):
             values = [b[idx] for b in buckets]
             if len(set(values)) != 1 or values[0] * m != totals[idx]:
@@ -210,13 +223,17 @@ def check_equidistribution(
         return None
 
     checked = f"n <= {spec.n_max} (gf), degrees <= {ENUM_CHECK_LIMIT} (enumeration)"
-    return _run_check(Check(spec.id, "equidistribution", spec.statement(), needed,
-                            checked, body, len(indices)), precision)
+    return Check(spec.id, "equidistribution", spec.statement(), needed, checked, body,
+                 len(indices), (("w", t, None, needed),))
 
 
-def check_relation_chl(n_max: int = 150, precision: int = DEFAULT_PRECISION) -> Report:
-    """a2(11n + 120) = 11^4 * a2(n/11), with a2(x) = 0 off integers,
-    where a2 is the coefficient family of f2^14 / f1^4."""
+def check_equidistribution(
+    spec: EquidistributionSpec, precision: int = DEFAULT_PRECISION
+) -> Report:
+    return _run_check(_equidistribution_check(spec), precision)
+
+
+def _relation_chl_check(n_max: int) -> Check:
     def body(needed):
         a2 = theta.build("a2", needed)
         pairs = ((n, a2[11 * n + 120], 11 ** 4 * a2[n // 11] if n % 11 == 0 else 0)
@@ -225,16 +242,18 @@ def check_relation_chl(n_max: int = 150, precision: int = DEFAULT_PRECISION) -> 
                       for n, left, right in pairs if left != right)
 
     statement = f"a2(11n+120) = 11^4 a2(n/11) for n <= {n_max}"
-    return _run_check(Check("chl-relation", "relation", statement, 11 * n_max + 121,
-                            f"n <= {n_max}", body, n_max + 1), precision)
+    needed = 11 * n_max + 121
+    return Check("chl-relation", "relation", statement, needed, f"n <= {n_max}", body,
+                 n_max + 1, (("a2", None, None, needed),))
 
 
-def check_oracle_agreement(
-    family: str, t: Optional[int], n_limit: int = ENUM_CHECK_LIMIT,
-    precision: Optional[int] = None,
-) -> Report:
-    """Enumeration distributions vs generating-function z-coefficients,
-    plus symmetry, totals, and (for V) nonnegativity."""
+def check_relation_chl(n_max: int = 150, precision: int = DEFAULT_PRECISION) -> Report:
+    """a2(11n + 120) = 11^4 * a2(n/11), with a2(x) = 0 off integers,
+    where a2 is the coefficient family of f2^14 / f1^4."""
+    return _run_check(_relation_chl_check(n_max), precision)
+
+
+def _oracle_check(family: str, t: Optional[int], n_limit: int) -> Check:
     t_family = comb.family_t(family, t)  # an unknown family or bad t raises
     fam = _family_name(family, t)
 
@@ -258,12 +277,20 @@ def check_oracle_agreement(
     statement = (
         f"{fam}: enumeration = gf coefficients, symmetric, totals w(n), n <= {n_limit}"
     )
-    return _run_check(Check("oracle-" + fam.lower(), "oracle", statement, n_limit + 1,
-                            f"n <= {n_limit}", body, n_limit + 1), precision)
+    return Check("oracle-" + fam.lower(), "oracle", statement, n_limit + 1,
+                 f"n <= {n_limit}", body, n_limit + 1, (("w", t_family, None, n_limit + 1),))
 
 
-def check_table_v4_n3() -> Report:
-    """The 28 vectors of V_4 at n = 3 and their weight/multirank multiset."""
+def check_oracle_agreement(
+    family: str, t: Optional[int], n_limit: int = ENUM_CHECK_LIMIT,
+    precision: Optional[int] = None,
+) -> Report:
+    """Enumeration distributions vs generating-function z-coefficients,
+    plus symmetry, totals, and (for V) nonnegativity."""
+    return _run_check(_oracle_check(family, t, n_limit), precision)
+
+
+def _table_check() -> Check:
     def body(_):
         vectors = comb.enumerate_vectors("V", 4, 3)
         dist = comb.statistic_distribution("V", 4, 3)
@@ -272,12 +299,16 @@ def check_table_v4_n3() -> Report:
         return None if ok else ("", {"vectors": len(vectors), "classes": str(classes)})
 
     statement = "V_4 at n=3: 28 vectors, residue classes mod 5 all 4, total 20"
-    return _run_check(Check("table-v4-n3", "table", statement, 0, "", body))
+    return Check("table-v4-n3", "table", statement, 0, "", body)
 
 
-def _check_parity_weighted(precision: int, name_filter: Optional[str] = None) -> list:
-    """Section-4 style checks on c_t(n), d(n), and p(n); only those whose
-    ids match ``name_filter`` run."""
+def check_table_v4_n3() -> Report:
+    """The 28 vectors of V_4 at n = 3 and their weight/multirank multiset."""
+    return _run_check(_table_check())
+
+
+def _parity_weighted_checks() -> tuple:
+    """Section-4 style checks on c_t(n), d(n), and p(n)."""
     def d_pentagonal(needed):
         d = theta.build("d", needed)
         return _first({"n": n, "value": d[n]} for n in range(needed)
@@ -300,18 +331,23 @@ def _check_parity_weighted(precision: int, name_filter: Optional[str] = None) ->
         return _first({"t": t, "n": n} for t, ct in series for n in range(needed)
                       if ct[n] != comb.parity_weighted_enumeration("V", t, n))
 
-    checks = (
+    return (
         Check("d-pentagonal", "relation", "d(n) matches the pentagonal formula for n <= 200",
-              201, "n <= 200", d_pentagonal),
+              201, "n <= 200", d_pentagonal, builds=(("d", None, None, 201),)),
         Check("d-enumeration", "relation", "d(n) = parity-weighted count over W2 for n <= 10",
-              11, "n <= 10", d_enumeration),
+              11, "n <= 10", d_enumeration, builds=(("d", None, None, 11),)),
         Check("c4-partition", "relation", "c_4(2k) = p(k) for k <= 100 and c_4(odd) = 0",
-              202, "k <= 100", c4_partition),
+              202, "k <= 100", c4_partition, builds=(("c", 4, None, 202),)),
         Check("c-enumeration", "relation",
               "c_t(n) = parity-weighted count over V_t for t in {1,4}, n <= 8",
-              9, "n <= 8", c_enumeration),
+              9, "n <= 8", c_enumeration, builds=(("c", 1, None, 9), ("c", 4, None, 9))),
     )
-    return [_run_check(c, precision) for c in checks if _matches(c.id, name_filter)]
+
+
+def _check_parity_weighted(precision: int, name_filter: Optional[str] = None) -> list:
+    """The section-4 checks whose ids match ``name_filter``, run."""
+    return [_run_check(c, precision) for c in _parity_weighted_checks()
+            if _matches(c.id, name_filter)]
 
 
 def _identity_check(entry: theta.IdentityEntry) -> Check:
@@ -321,7 +357,8 @@ def _identity_check(entry: theta.IdentityEntry) -> Check:
             "index": r.mismatch_index, "left": r.mismatch_left, "right": r.mismatch_right})
 
     return Check(f"identity-{entry.id}", "identity", entry.description,
-                 entry.default_precision, f"N = {entry.default_precision}", body)
+                 entry.default_precision, f"N = {entry.default_precision}", body,
+                 builds=tuple(theta.entry_requests(entry)))
 
 
 # Congruence families of the suite: for each t, every progression
@@ -390,23 +427,29 @@ def run_suite(precision: int = DEFAULT_PRECISION, name_filter: Optional[str] = N
     """Run every suite item whose id contains ``name_filter`` (all items
     if it is empty); one report per item, in a stable order.  Items are
     selected before any of them runs; a filter that selects none is a
-    ValueError."""
-    items = [(c.id, partial(_run_check, c, precision), "pass")
+    ValueError.  Each named series is built once, at the longest length
+    that a selected item which is not skipped asks for."""
+    items = [(c, partial(_run_check, c, precision), "pass")
              for c in map(_identity_check, theta.catalog())]
-    items += [(s.id, partial(check_congruence, s, precision), s.expect)
+    items += [(_congruence_check(s), partial(check_congruence, s, precision), s.expect)
               for s in congruence_catalog()]
-    items += [(s.id, partial(check_equidistribution, s, precision), "pass")
-              for s in equidistribution_catalog()]
-    items.append(("chl-relation", partial(check_relation_chl, 150, precision), "pass"))
-    items.append(("table-v4-n3", check_table_v4_n3, "pass"))
-    items += [("oracle-" + _family_name(f, t).lower(),
+    items += [(_equidistribution_check(s), partial(check_equidistribution, s, precision),
+               "pass") for s in equidistribution_catalog()]
+    items.append((_relation_chl_check(150), partial(check_relation_chl, 150, precision),
+                  "pass"))
+    items.append((_table_check(), check_table_v4_n3, "pass"))
+    items += [(_oracle_check(f, t, ENUM_CHECK_LIMIT),
                partial(check_oracle_agreement, f, t, precision=precision), "pass")
               for f, t in (("V", 1), ("V", 2), ("V", 4), ("V", 5), ("W2", None))]
-    reports = [_apply_expectation(run(), expect)
-               for item_id, run, expect in items if _matches(item_id, name_filter)]
-    reports += _check_parity_weighted(precision, name_filter)
-    if not reports:
+    items = [item for item in items if _matches(item[0].id, name_filter)]
+    checks = [c for c, _, _ in items]
+    checks += [c for c in _parity_weighted_checks() if _matches(c.id, name_filter)]
+    if not checks:
         raise ValueError(f"no suite item matches {name_filter!r}")
+    plan = [b for c in checks if not _skip_reason(c, precision) for b in c.builds]
+    with theta.planned(plan):
+        reports = [_apply_expectation(run(), expect) for _, run, expect in items]
+        reports += _check_parity_weighted(precision, name_filter)
     return reports
 
 

@@ -154,6 +154,24 @@ class TestVerify:
         assert code == 2
         assert err == "error: no identity entry with id 'nope'\n"
 
+    def test_all_entries_build_each_series_once(self, capsys, monkeypatch):
+        expanded, expand = [], theta.expand_univariate
+
+        def recording(spec, precision, modulus=None):
+            expanded.append((spec, precision, modulus))
+            return expand(spec, precision, modulus)
+
+        monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+        monkeypatch.setattr(theta, "expand_univariate", recording)
+        code, out, _ = run(capsys, "verify", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [(r["id"], r["status"]) for r in rows] == [
+            (e.id, "pass") for e in theta.catalog()]
+        a1 = theta.series_spec("a1")  # mod 3 in four entries, at up to 8 * 200
+        assert [p for s, p, m in expanded if s == a1 and m == 3] == [1600]
+        assert theta._BUILD_PLAN == {}
+
 
 class TestSuite:
     def test_low_precision_suite_is_green(self, capsys):
@@ -431,3 +449,12 @@ class TestEnvironment:
         code, _, err = run(capsys, "suite", "--filter", "chl")
         assert code == 2
         assert cli.ENV_PRECISION in err
+
+    def test_only_suite_and_sweep_read_env_precision(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_PRECISION, "abc")
+        assert run(capsys, "verify", "--id", "key-identity")[:2] == (
+            0, "key-identity: pass (N=120)\n")
+        code, out, _ = run(capsys, "ranktable", "--t", "1", "--n", "2")
+        assert code == 0 and out.startswith("family,t,n,")
+        code, out, _ = run(capsys, "suite", "--filter", "chl", "--precision", "2000")
+        assert code == 0 and json.loads(out)[0]["status"] == "pass"

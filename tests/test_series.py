@@ -16,6 +16,7 @@ from qdissect.series import (
     _pack,
     _pack_signed,
     _unpack,
+    cube_terms,
     divide_by_eta,
     equal_upto,
     pentagonal_sum,
@@ -121,7 +122,7 @@ class TestPochhammer:
 
 class TestEulerDivision:
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
-    @pytest.mark.parametrize("times", [1, 3])
+    @pytest.mark.parametrize("times", [1, 2, 3, 4, 6, 7])
     def test_division_undoes_multiplication(self, k, times):
         g = pochhammer_series(2, 3, 200)
         divided = divide_by_eta(g, k, times)
@@ -147,6 +148,66 @@ class TestEulerDivision:
         k, times = args
         with pytest.raises(ValueError):
             divide_by_eta(QSeries.one(5), k, times)
+
+    @pytest.mark.parametrize("times, passes", [(0, 0), (2, 2), (3, 1), (7, 3), (14, 6)])
+    def test_cube_passes_take_three_powers_each(self, monkeypatch, times, passes):
+        divisors, original = [], series._divide_sparse
+
+        def recording(h, terms):
+            divisors.append(terms)
+            original(h, terms)
+
+        monkeypatch.setattr(series, "_divide_sparse", recording)
+        divide_by_eta(pochhammer_series(2, 3, 60), 2, times)
+        cubes = [cube_terms(60, 2)[1:]] * (times // 3)
+        assert divisors == cubes + [pentagonal_terms(60, 2)[1:]] * (times % 3)
+        assert len(divisors) == passes
+
+    @pytest.mark.parametrize("times", [0, 1, 2, 3, 4, 7])
+    def test_rejects_k_zero_for_every_times(self, times):
+        with pytest.raises(ValueError):
+            divide_by_eta(QSeries.one(5), 0, times)
+
+    @given(k=st.integers(1, 6), times=st.integers(0, 8), precision=st.integers(0, 60),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_multiplication_and_newton(self, k, times, precision, data):
+        g = QSeries(tuple(data.draw(st.lists(
+            st.integers(-(2**200), 2**200), min_size=precision, max_size=precision))))
+        divisor = pentagonal_sum(precision, k).power(times)
+        h = divide_by_eta(g, k, times)
+        assert (h * divisor).coeffs == g.coeffs
+        assert h.coeffs == (g * divisor.inverse()).coeffs
+
+    @given(k=st.integers(1, 6), times=st.integers(0, 8), modulus=st.integers(2, 10**6),
+           precision=st.integers(0, 60), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_newton_mod_m(self, k, times, modulus, precision, data):
+        g = QSeries(tuple(data.draw(st.lists(
+            st.integers(0, modulus - 1), min_size=precision, max_size=precision))), modulus)
+        divisor = QSeries(pentagonal_sum(precision, k).coeffs, modulus).power(times)
+        h = divide_by_eta(g, k, times)
+        assert h.modulus == modulus
+        assert (h * divisor).coeffs == g.coeffs
+        assert h.coeffs == (g * divisor.inverse()).coeffs
+
+
+class TestCubeTerms:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_match_the_product(self, k):
+        cube = pochhammer_series(k, k, 300).power(3)
+        terms = dict(cube_terms(300, k))
+        assert cube.coeffs == tuple(terms.get(n, 0) for n in range(300))
+
+    def test_exponents_stop_below_precision(self):
+        assert cube_terms(0) == []
+        assert cube_terms(7) == [(0, 1), (1, -3), (3, 5), (6, -7)]
+        assert cube_terms(6) == [(0, 1), (1, -3), (3, 5)]
+
+    @pytest.mark.parametrize("args", [(10, 0), (10, -2), (-1, 1)])
+    def test_rejects_bad_arguments(self, args):
+        with pytest.raises(ValueError):
+            cube_terms(*args)
 
 
 class TestArithmetic:

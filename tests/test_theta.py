@@ -15,12 +15,14 @@ from qdissect.theta import (
     build,
     catalog,
     catalog_entry,
+    entry_requests,
     evaluate,
     jacobi_cube_sum,
     pentagonal_sum,
     phi_neg_sum,
     phi_sum,
     psi_sum,
+    requests,
     verify_entry,
 )
 from qdissect.verification import congruence_catalog
@@ -97,11 +99,73 @@ class TestBuildCache:
             build("p", -1)
 
 
+class TestBuildPlan:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+
+    def test_a_miss_builds_at_the_longest_planned_length(self):
+        plan = [("w", 3, None, 90), ("w", 3, None, 120), ("w", 3, 5, 40)]
+        with theta.planned(plan):
+            short = build("w", 50, 3)
+            assert build("w", 7, 3, 5).coeffs == tuple(c % 5 for c in short.coeffs[:7])
+        assert short.coeffs == expand_univariate(theta.series_spec("w", 3), 50).coeffs
+        assert theta._BUILD_CACHE[("w", 3)].precision == 120
+        assert theta._BUILD_CACHE[("w", 3, 5)].precision == 40
+
+    def test_unplanned_and_longer_requests_build_as_asked(self):
+        with theta.planned([("c", 4, None, 30)]):
+            build("c", 60, 4)
+            build("d", 20)
+        assert theta._BUILD_CACHE[("c", 4)].precision == 60
+        assert theta._BUILD_CACHE[("d", None)].precision == 20
+
+    def test_plan_is_cleared_on_exit_and_on_error(self):
+        with theta.planned([("p", None, None, 40)]):
+            assert theta._BUILD_PLAN == {("p", None): 40}
+        assert theta._BUILD_PLAN == {}
+        with pytest.raises(RuntimeError):
+            with theta.planned([("p", None, 7, 40)]):
+                raise RuntimeError
+        assert theta._BUILD_PLAN == {}
+        build("p", 10)
+        assert theta._BUILD_CACHE[("p", None)].precision == 10
+
+
+class TestRequests:
+    @pytest.mark.parametrize("entry", catalog(), ids=[e.id for e in catalog()])
+    def test_entry_requests_are_the_builds_of_verify_entry(self, monkeypatch, entry):
+        recorded, original = [], theta.build
+
+        def recording(name, precision, param=None, modulus=None):
+            recorded.append((name, param, modulus, precision))
+            return original(name, precision, param, modulus)
+
+        monkeypatch.setattr(theta, "build", recording)
+        verify_entry(entry)
+        assert entry_requests(entry) == recorded
+        verify_entry(entry, 37)
+        assert entry_requests(entry, 37) == recorded[len(recorded) // 2:]
+
+    def test_precision_arithmetic_of_each_node(self):
+        node = Sum((Shift(3, Ref("w", 2)), Shift(9, Ref("d")), Sub(4, Ref("psi")),
+                    Dissect(Ref("a1"), 8, 7), Scale(2, Pow(Ref("phi"), -1)), Const(1)))
+        assert list(requests(node, 9, 3)) == [
+            ("w", 2, 3, 6), ("psi", None, 3, 3), ("a1", None, 3, 72), ("phi", None, 3, 9)]
+
+    def test_rejects_what_evaluate_rejects(self):
+        with pytest.raises(ValueError):
+            list(requests(Ref("p"), -1))
+        with pytest.raises(TypeError):
+            list(requests("p", 5))
+
+
 class TestClosedSums:
     def test_dual_forms_agree(self):
         n = 300
         assert pochhammer_series(1, 1, n).coeffs == pentagonal_sum(n).coeffs
         assert build("f", n, 1).power(3).coeffs == jacobi_cube_sum(n).coeffs
+        assert build("f", n, 2).power(3).coeffs == jacobi_cube_sum(n, 2).coeffs
         assert build("phi", n).coeffs == phi_sum(n).coeffs
         assert build("phi_neg", n).coeffs == phi_neg_sum(n).coeffs
         assert build("psi", n).coeffs == psi_sum(n).coeffs

@@ -1,3 +1,6 @@
+import contextlib
+from collections import Counter
+
 import pytest
 
 from qdissect import theta, verification
@@ -253,6 +256,87 @@ class TestSuite:
         for spec in equidistribution_catalog():
             assert spec.statistic_modulus in (5, 7)
             assert 0 <= spec.offset < spec.step
+
+
+def _longest(builds) -> dict:
+    out = {}
+    for name, param, modulus, length in builds:
+        key = (name, param, modulus)
+        out[key] = max(length, out.get(key, 0))
+    return out
+
+
+class TestSuitePlan:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The plan of each ``theta.planned`` block, and every ``build``
+        call with whether it expanded a series."""
+        log = {"plans": [], "builds": []}
+        planned, build, expand = theta.planned, theta.build, theta.expand_univariate
+        expanded = []
+
+        def recording_planned(requests):
+            log["plans"].append(list(requests))
+            return planned(log["plans"][-1])
+
+        def recording_build(name, precision, param=None, modulus=None):
+            expanded.clear()
+            series = build(name, precision, param, modulus)
+            log["builds"].append(((name, param, modulus, precision), bool(expanded)))
+            return series
+
+        def recording_expand(*args):
+            expanded.append(True)
+            return expand(*args)
+
+        monkeypatch.setattr(theta, "planned", recording_planned)
+        monkeypatch.setattr(theta, "build", recording_build)
+        monkeypatch.setattr(theta, "expand_univariate", recording_expand)
+        return log
+
+    @staticmethod
+    def strip(reports) -> list:
+        return [{k: v for k, v in r.to_dict().items() if k != "millis"} for r in reports]
+
+    def test_each_key_misses_once_with_reports_unchanged(self, monkeypatch, recorded):
+        planned = self.strip(run_suite(2000))
+        [plan] = recorded["plans"]
+        builds = [call for call, _ in recorded["builds"]]
+        misses = Counter(call[:3] for call, miss in recorded["builds"] if miss)
+        assert set(misses.values()) == {1}
+        assert _longest(plan) == _longest(builds)
+        monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+        monkeypatch.setattr(theta, "planned", lambda requests: contextlib.nullcontext())
+        assert self.strip(run_suite(2000)) == planned
+
+    @pytest.mark.parametrize("precision, name_filter", [
+        (300, None), (2000, "mod5-w5"), (2000, "identity-mod3"), (300, "w3")])
+    def test_only_checks_that_run_are_planned(self, recorded, precision, name_filter):
+        run_suite(precision, name_filter)
+        [plan] = recorded["plans"]
+        assert _longest(plan) == _longest(call for call, _ in recorded["builds"])
+        if precision == 300:
+            assert ("w", 3, 27) not in _longest(plan)  # 1944 terms, skipped at 300
+
+    def test_a_filter_plans_only_its_checks(self, recorded):
+        run_suite(2000, "mod5-w5")
+        assert _longest(recorded["plans"][0]) == {("w", 5, 5): 505}
+
+    def test_plan_is_empty_after_a_run_or_an_error(self, monkeypatch):
+        run_suite(300, "chl")
+        assert theta._BUILD_PLAN == {}
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(theta, "build", failing)
+        with pytest.raises(RuntimeError, match="build failed"):
+            run_suite(2000, "mod5-w5")
+        assert theta._BUILD_PLAN == {}
 
 
 class TestReportSerialization:
