@@ -127,8 +127,8 @@ def cmd_verify(args) -> int:
     entries = theta.catalog()
     if args.id:
         entries = [theta.catalog_entry(args.id)]
-    with theta.planned(r for e in entries for r in theta.entry_requests(e, args.precision)):
-        reports = [theta.verify_entry(entry, args.precision) for entry in entries]
+    theta.build_longest(r for e in entries for r in theta.entry_requests(e, args.precision))
+    reports = [theta.verify_entry(entry, args.precision) for entry in entries]
     failed = any(report.status != "pass" for report in reports)
     rows = [{
         "id": report.id,
@@ -174,8 +174,9 @@ def _exit_code(reports: list, precision: int) -> int:
 _JSON_ROW = '{"components": "%s", "weight": %d, "statistic": %d}'
 
 
-def _table(args, family: str, t: Optional[int]) -> int:
-    t = comb.family_t(family, t)
+def cmd_table(args) -> int:
+    """``ranktable``, and ``cranktable``, whose parser fixes the family W2."""
+    family, t = args.family, comb.family_t(args.family, args.t)
     rows = comb.vector_rows(family, t, args.n, allow_large=args.allow_large)
     dist = comb.statistic_distribution(family, t, args.n, allow_large=args.allow_large)
     summary = comb.residue_classes(dist, args.modulus)
@@ -199,14 +200,6 @@ def _table(args, family: str, t: Optional[int]) -> int:
         writer.writerow(["total", total])
         _write(buf.getvalue(), args.output)
     return EXIT_OK
-
-
-def cmd_ranktable(args) -> int:
-    return _table(args, args.family, args.t)
-
-
-def cmd_cranktable(args) -> int:
-    return _table(args, "W2", None)
 
 
 def cmd_sweep(args) -> int:
@@ -259,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_ranktable)
+    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("cranktable", help="enumerate W2 with the vector crank")
     p.add_argument("--n", type=int, required=True)
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_cranktable)
+    p.set_defaults(func=cmd_table, family="W2", t=None)
 
     p = sub.add_parser("sweep", help="check a custom congruence spec")
     p.add_argument("--series", required=True, help=_SERIES_HELP)
@@ -286,13 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output(output: Optional[str]):
-    """Reject an output file whose directory is missing before any work is
-    done; nothing is created or truncated.  ``_write`` checks again."""
+    """Reject an output file whose directory is missing, or that is itself a
+    directory, before any work is done; nothing is created or truncated.
+    ``_write`` checks again."""
     if output is None or output == "-":
         return
     directory = os.path.dirname(output) or "."
-    if not os.path.isdir(directory):
-        reason = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    reason = (errno.EISDIR if os.path.isdir(output) else
+              errno.ENOENT if not os.path.exists(directory) else
+              errno.ENOTDIR if not os.path.isdir(directory) else None)
+    if reason:
         raise ValueError(f"cannot write {output}: {os.strerror(reason)}")
 
 

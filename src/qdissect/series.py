@@ -244,11 +244,13 @@ class QSeries:
         return QSeries((0,) * j + self.coeffs, self.modulus)
 
     def truncate(self, n: int) -> "QSeries":
+        """The first ``n`` coefficients; the series itself, which is frozen,
+        when it has exactly ``n``."""
         if not 0 <= n <= len(self.coeffs):
             raise ValueError(
                 f"cannot truncate precision {len(self.coeffs)} series to {n}"
             )
-        return QSeries(self.coeffs[:n], self.modulus)
+        return self if n == len(self.coeffs) else QSeries(self.coeffs[:n], self.modulus)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse, by Newton iteration.

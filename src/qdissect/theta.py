@@ -10,7 +10,6 @@ statements they encode.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -70,29 +69,6 @@ def series_spec(name: str, param: Optional[int] = None) -> ProductSpec:
 # _BUILD_CACHE_KEYS are held (the full suite uses 41).
 _BUILD_CACHE: dict = {}
 _BUILD_CACHE_KEYS = 64
-# Inside ``planned``: per cache key, the longest length the run will ask
-# for, which a miss builds at once.
-_BUILD_PLAN: dict = {}
-
-
-def _cache_key(name: str, param: Optional[int], modulus: Optional[int]) -> tuple:
-    return (name, param) if modulus is None else (name, param, modulus)
-
-
-@contextmanager
-def planned(builds: Iterable[tuple]):
-    """Within the block, a ``build`` that misses the cache expands its
-    series at the longest length of the (name, param, modulus, length)
-    ``builds`` planned for it (see ``requests``), so that later requests
-    are served prefixes.  The plan is cleared on leaving the block, also
-    on an exception."""
-    for name, param, modulus, length in builds:
-        key = _cache_key(name, param, modulus)
-        _BUILD_PLAN[key] = max(length, _BUILD_PLAN.get(key, 0))
-    try:
-        yield
-    finally:
-        _BUILD_PLAN.clear()
 
 
 def build(
@@ -104,16 +80,27 @@ def build(
 
     Names: f(k), phi, phi_neg, psi, x, w(t), a, a1, a2, c(t), d, p.
     """
-    key = _cache_key(name, param, modulus)
+    key = (name, param) if modulus is None else (name, param, modulus)
     series = _BUILD_CACHE.get(key)
     if series is None or series.precision < precision:
-        length = max(precision, _BUILD_PLAN.get(key, 0))
-        series = expand_univariate(series_spec(name, param), length, modulus)
+        series = expand_univariate(series_spec(name, param), precision, modulus)
         _BUILD_CACHE.pop(key, None)
         _BUILD_CACHE[key] = series
         if len(_BUILD_CACHE) > _BUILD_CACHE_KEYS:
             del _BUILD_CACHE[next(iter(_BUILD_CACHE))]
     return series.truncate(precision)
+
+
+def build_longest(builds: Iterable[tuple]):
+    """``build`` each (name, param, modulus) of the (name, param, modulus,
+    length) ``builds`` once, at the longest length asked of it, in order of
+    first appearance; the cache then serves all of ``builds`` as prefixes."""
+    longest: dict = {}
+    for name, param, modulus, length in builds:
+        key = (name, param, modulus)
+        longest[key] = max(length, longest.get(key, 0))
+    for (name, param, modulus), length in longest.items():
+        build(name, length, param, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +212,26 @@ class Dissect:
     residue: int
 
 
+def _inner(node, precision: int) -> list:
+    """The (subexpression, precision) pairs from which ``evaluate`` builds
+    ``node`` at ``precision``; none for a leaf."""
+    if isinstance(node, (Const, Ref, Quot)):
+        return []
+    if isinstance(node, (Sum, Mul)):
+        return [(inner, precision)
+                for inner in (node.terms if isinstance(node, Sum) else node.factors)]
+    if isinstance(node, (Scale, Pow)):
+        return [(node.inner, precision)]
+    if isinstance(node, Shift):
+        # a shift past the precision leaves none of its inner series
+        return [(node.inner, precision - node.exponent)] if node.exponent < precision else []
+    if isinstance(node, Sub):
+        return [(node.inner, -(-precision // node.exponent))]
+    if isinstance(node, Dissect):
+        return [(node.inner, node.modulus * precision)]
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def evaluate(node, precision: int, modulus: Optional[int] = None) -> QSeries:
     """Expand an expression tree to exactly ``precision`` coefficients, as
     residues mod ``modulus`` when one is given."""
@@ -236,31 +243,21 @@ def evaluate(node, precision: int, modulus: Optional[int] = None) -> QSeries:
         return build(node.name, precision, node.param, modulus)
     if isinstance(node, Quot):
         return expand_univariate(node.spec, precision, modulus)
+    parts = (evaluate(inner, length, modulus) for inner, length in _inner(node, precision))
     if isinstance(node, Sum):
-        result = QSeries.zero(precision, modulus)
-        for term in node.terms:
-            result = result + evaluate(term, precision, modulus)
-        return result
+        return sum(parts, QSeries.zero(precision, modulus))
     if isinstance(node, Mul):
-        return product((evaluate(f, precision, modulus) for f in node.factors),
-                       precision, modulus)
+        return product(parts, precision, modulus)
+    part = next(parts, None)
     if isinstance(node, Scale):
-        return evaluate(node.inner, precision, modulus).scale(node.scalar)
-    if isinstance(node, Shift):
-        if node.exponent >= precision:
-            return QSeries.zero(precision, modulus)
-        inner = evaluate(node.inner, precision - node.exponent, modulus)
-        return inner.shift(node.exponent)
-    if isinstance(node, Sub):
-        k = node.exponent
-        inner = evaluate(node.inner, -(-precision // k), modulus)
-        return inner.substitute_power(k).truncate(precision)
+        return part.scale(node.scalar)
     if isinstance(node, Pow):
-        return evaluate(node.inner, precision, modulus).power(node.exponent)
-    if isinstance(node, Dissect):
-        inner = evaluate(node.inner, node.modulus * precision, modulus)
-        return inner.dissect(node.modulus, node.residue)
-    raise TypeError(f"not an expression node: {node!r}")
+        return part.power(node.exponent)
+    if isinstance(node, Shift):
+        return QSeries.zero(precision, modulus) if part is None else part.shift(node.exponent)
+    if isinstance(node, Sub):
+        return part.substitute_power(node.exponent).truncate(precision)
+    return part.dissect(node.modulus, node.residue)
 
 
 def requests(node, precision: int, modulus: Optional[int] = None):
@@ -270,20 +267,8 @@ def requests(node, precision: int, modulus: Optional[int] = None):
         raise ValueError("precision must be >= 0")
     if isinstance(node, Ref):
         yield node.name, node.param, modulus, precision
-    elif isinstance(node, (Sum, Mul)):
-        for inner in node.terms if isinstance(node, Sum) else node.factors:
-            yield from requests(inner, precision, modulus)
-    elif isinstance(node, (Scale, Pow)):
-        yield from requests(node.inner, precision, modulus)
-    elif isinstance(node, Shift):
-        if node.exponent < precision:
-            yield from requests(node.inner, precision - node.exponent, modulus)
-    elif isinstance(node, Sub):
-        yield from requests(node.inner, -(-precision // node.exponent), modulus)
-    elif isinstance(node, Dissect):
-        yield from requests(node.inner, node.modulus * precision, modulus)
-    elif not isinstance(node, (Const, Quot)):
-        raise TypeError(f"not an expression node: {node!r}")
+    for inner, length in _inner(node, precision):
+        yield from requests(inner, length, modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,16 @@
 coefficient relation behind the mod-11 congruence, and negative controls.
 
 Each check is a ``Check`` record (id, kind, statement, needed precision,
-``checked`` range, item count, the series builds it makes) with a body
-that builds its series at the needed precision and returns None when the
-claim holds, else ``(detail, counterexample)``.  One runner, ``_run_check``,
-skips, times and turns every record into a Report: a check that would
-need more series coefficients than the run's precision, or that covers
-no item, reports "skipped", never a false "pass".
+``checked`` range, item count, the named series it reads) with a body
+that takes those series and returns None when the claim holds, else
+``(detail, counterexample)``.  One runner, ``_run_check``, skips, or
+builds the series and runs and times the body, and turns every record
+into a Report: a check that would need more series coefficients than
+the run's precision, or that covers no item, reports "skipped", never a
+false "pass".
 ``run_suite`` selects items by id before any of them runs, and builds
 each named series once, at the longest length a selected check that
-runs asks for (``theta.planned``).
+runs asks for (``theta.build_longest``); every check then reads a prefix.
 A congruence sweep mod M reads residues mod M; the value it reports for
 a failure comes from the integer expansion, which must agree.
 """
@@ -132,11 +133,11 @@ class Check:
     id: str
     kind: str
     statement: str
-    needed: int      # series coefficients the body builds; 0 if it builds none
+    needed: int      # series coefficients the body reads; 0 if it reads none
     checked: str     # the range covered, as reported
-    body: Callable[[int], Optional[tuple]]  # body(needed): None, or (detail, counterexample)
+    body: Callable[..., Optional[tuple]]  # body(*series): None, or (detail, counterexample)
     items: int = 1   # cases covered; a check of none is skipped
-    builds: tuple = ()  # (name, param, modulus, length) of each theta.build of the body
+    builds: tuple = ()  # (name, param, modulus, length) of each series passed to the body
 
 
 def _skip_reason(check: Check, precision: Optional[int]) -> str:
@@ -150,12 +151,14 @@ def _skip_reason(check: Check, precision: Optional[int]) -> str:
 
 
 def _run_check(check: Check, precision: Optional[int] = None) -> Report:
-    """Skip, or run and time, one check; the only place a Report is made."""
+    """Skip, or build the series of, run and time one check; the only
+    place a Report is made."""
     start = time.perf_counter()
     report = Report(check.id, check.kind, check.statement, "skipped", needed=check.needed)
     report.detail = _skip_reason(check, precision)
     if not report.detail:
-        outcome = check.body(check.needed)
+        outcome = check.body(*(theta.build(name, length, param, modulus)
+                               for name, param, modulus, length in check.builds))
         report.checked = check.checked
         report.status = "pass" if outcome is None else "fail"
         if outcome is not None:
@@ -172,9 +175,8 @@ def _first(counterexamples) -> Optional[tuple]:
 
 
 def _congruence_check(spec: CongruenceSpec) -> Check:
-    def body(needed):
+    def body(series):
         # residues mod the spec's modulus, or integers for exact zeros
-        series = theta.build(spec.series, needed, spec.param, spec.modulus)
         for n in range(spec.n_max + 1):
             index = spec.step * n + spec.offset
             residue = series[index]
@@ -189,7 +191,7 @@ def _congruence_check(spec: CongruenceSpec) -> Check:
                 return "", {"n": n, "index": index, "value": value}
         return None
 
-    # unplanned: the integer build of a failure, no longer than ``needed``
+    # the integer read-back of a failure is no longer than ``needed``
     needed = spec.step * spec.n_max + spec.offset + 1
     return Check(spec.id, "congruence", spec.statement(), needed, f"n <= {spec.n_max}",
                  body, spec.n_max + 1, ((spec.series, spec.param, spec.modulus, needed),))
@@ -205,10 +207,9 @@ def _equidistribution_check(spec: EquidistributionSpec) -> Check:
     needed = spec.step * spec.n_max + spec.offset + 1
     indices = [spec.step * n + spec.offset for n in range(spec.n_max + 1)]
 
-    def body(needed):
+    def body(totals):
         # generating-function route, with z-exponents folded mod m
         buckets = comb.series_counts(spec.family, spec.t, needed, z_mod=m).residue_buckets(m)
-        totals = theta.build("w", needed, t)
         for n, idx in enumerate(indices):
             values = [b[idx] for b in buckets]
             if len(set(values)) != 1 or values[0] * m != totals[idx]:
@@ -234,8 +235,7 @@ def check_equidistribution(
 
 
 def _relation_chl_check(n_max: int) -> Check:
-    def body(needed):
-        a2 = theta.build("a2", needed)
+    def body(a2):
         pairs = ((n, a2[11 * n + 120], 11 ** 4 * a2[n // 11] if n % 11 == 0 else 0)
                  for n in range(n_max + 1))
         return _first({"n": n, "left": left, "right": right}
@@ -257,9 +257,8 @@ def _oracle_check(family: str, t: Optional[int], n_limit: int) -> Check:
     t_family = comb.family_t(family, t)  # an unknown family or bad t raises
     fam = _family_name(family, t)
 
-    def body(needed):
-        gf = comb.series_counts(family, t, needed)
-        w = theta.build("w", needed, t_family)
+    def body(w):
+        gf = comb.series_counts(family, t, n_limit + 1)
         if not gf.is_z_symmetric():
             return "generating function not symmetric under z -> 1/z", None
         for n in range(n_limit + 1):
@@ -291,7 +290,7 @@ def check_oracle_agreement(
 
 
 def _table_check() -> Check:
-    def body(_):
+    def body():
         vectors = comb.enumerate_vectors("V", 4, 3)
         dist = comb.statistic_distribution("V", 4, 3)
         classes = comb.residue_classes(dist, 5)
@@ -309,26 +308,23 @@ def check_table_v4_n3() -> Report:
 
 def _parity_weighted_checks() -> tuple:
     """Section-4 style checks on c_t(n), d(n), and p(n)."""
-    def d_pentagonal(needed):
-        d = theta.build("d", needed)
-        return _first({"n": n, "value": d[n]} for n in range(needed)
+    def d_pentagonal(d):
+        return _first({"n": n, "value": d[n]} for n in range(d.precision)
                       if d[n] != comb.pentagonal_d(n))
 
-    def d_enumeration(needed):
-        d = theta.build("d", needed)
-        return _first({"n": n} for n in range(needed)
+    def d_enumeration(d):
+        return _first({"n": n} for n in range(d.precision)
                       if d[n] != comb.parity_weighted_enumeration("W2", None, n))
 
-    def c4_partition(needed):
-        c4 = theta.build("c", needed, 4)
-        p = comb.partition_counts((needed - 1) // 2)
+    def c4_partition(c4):
+        p = comb.partition_counts((c4.precision - 1) // 2)
         even = (2 * k for k in range(len(p)) if c4[2 * k] != p[k])
-        odd = (n for n in range(1, needed, 2) if c4[n] != 0)
+        odd = (n for n in range(1, c4.precision, 2) if c4[n] != 0)
         return _first({"index": i, "value": c4[i]} for i in itertools.chain(even, odd))
 
-    def c_enumeration(needed):
-        series = ((t, theta.build("c", needed, t)) for t in (1, 4))
-        return _first({"t": t, "n": n} for t, ct in series for n in range(needed)
+    def c_enumeration(c1, c4):
+        return _first({"t": t, "n": n} for t, ct in ((1, c1), (4, c4))
+                      for n in range(ct.precision)
                       if ct[n] != comb.parity_weighted_enumeration("V", t, n))
 
     return (
@@ -351,8 +347,9 @@ def _check_parity_weighted(precision: int, name_filter: Optional[str] = None) ->
 
 
 def _identity_check(entry: theta.IdentityEntry) -> Check:
-    def body(needed):
-        r = theta.verify_entry(entry, needed)
+    def body(*_):
+        # verify_entry reads the same prefixes from the cache
+        r = theta.verify_entry(entry, entry.default_precision)
         return None if r.status == "pass" else ("", {
             "index": r.mismatch_index, "left": r.mismatch_left, "right": r.mismatch_right})
 
@@ -446,11 +443,9 @@ def run_suite(precision: int = DEFAULT_PRECISION, name_filter: Optional[str] = N
     checks += [c for c in _parity_weighted_checks() if _matches(c.id, name_filter)]
     if not checks:
         raise ValueError(f"no suite item matches {name_filter!r}")
-    plan = [b for c in checks if not _skip_reason(c, precision) for b in c.builds]
-    with theta.planned(plan):
-        reports = [_apply_expectation(run(), expect) for _, run, expect in items]
-        reports += _check_parity_weighted(precision, name_filter)
-    return reports
+    theta.build_longest(b for c in checks if not _skip_reason(c, precision) for b in c.builds)
+    reports = [_apply_expectation(run(), expect) for _, run, expect in items]
+    return reports + _check_parity_weighted(precision, name_filter)
 
 
 def suite_failed(reports: list) -> bool:

@@ -170,7 +170,7 @@ class TestVerify:
             (e.id, "pass") for e in theta.catalog()]
         a1 = theta.series_spec("a1")  # mod 3 in four entries, at up to 8 * 200
         assert [p for s, p, m in expanded if s == a1 and m == 3] == [1600]
-        assert theta._BUILD_PLAN == {}
+        assert theta._BUILD_CACHE[("a1", None, 3)].precision == 1600
 
 
 class TestSuite:
@@ -409,24 +409,27 @@ class TestUnwritableOutput:
         (("sweep", "--series", "w", "--t", "2", "--a", "7", "--b", "4", "--mod", "7",
           "--nmax", "4000", "--precision", "4000"), (verification, "check_congruence")),
     ], ids=["ranktable", "sweep"])
-    @pytest.mark.parametrize("parent, reason", [
-        ("missing", "No such file or directory"),
-        ("a-file", "Not a directory"),
-    ], ids=["missing", "not-a-directory"])
+    @pytest.mark.parametrize("output, reason", [
+        ("missing/x", "No such file or directory"),
+        ("a-file/x", "Not a directory"),
+        ("a-directory", "Is a directory"),
+    ], ids=["missing", "not-a-directory", "a-directory"])
     def test_rejected_before_the_work(self, capsys, monkeypatch, tmp_path, argv, work,
-                                      parent, reason):
+                                      output, reason):
         def fail(*args, **kwargs):
             raise AssertionError("the command ran before its output was checked")
 
         monkeypatch.setattr(*work, fail)
         (tmp_path / "a-file").write_text("kept\n")
-        path = tmp_path / parent / "x"
+        (tmp_path / "a-directory").mkdir()
+        path = tmp_path / output
         code, out, err = run(capsys, *argv, "--output", str(path))
         assert code == 2
         assert out == ""
         assert err == f"error: cannot write {path}: {reason}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "a-file"]
         assert (tmp_path / "a-file").read_text() == "kept\n"
+        assert list((tmp_path / "a-directory").iterdir()) == []
 
 
 class TestEnvironment:

@@ -505,6 +505,15 @@ class TestStructuralOps:
         s = QSeries((1, 2))
         assert s.shift(2).coeffs == (0, 0, 1, 2)
 
+    @pytest.mark.parametrize("modulus", [None, 5])
+    def test_truncate_to_full_length_is_the_series_itself(self, modulus):
+        s = QSeries((1, -2, 3, 9), modulus)
+        assert s.truncate(4) is s
+        assert [s.truncate(n) for n in range(4)] == [
+            QSeries(s.coeffs[:n], modulus) for n in range(4)]
+        with pytest.raises(ValueError):
+            s.truncate(5)
+
 
 class TestEqualUpto:
     def test_reflexive(self):

@@ -99,37 +99,39 @@ class TestBuildCache:
             build("p", -1)
 
 
-class TestBuildPlan:
+class TestBuildLongest:
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
         monkeypatch.setattr(theta, "_BUILD_CACHE", {})
 
-    def test_a_miss_builds_at_the_longest_planned_length(self):
-        plan = [("w", 3, None, 90), ("w", 3, None, 120), ("w", 3, 5, 40)]
-        with theta.planned(plan):
-            short = build("w", 50, 3)
-            assert build("w", 7, 3, 5).coeffs == tuple(c % 5 for c in short.coeffs[:7])
-        assert short.coeffs == expand_univariate(theta.series_spec("w", 3), 50).coeffs
+    @pytest.fixture
+    def expanded(self, monkeypatch):
+        calls, expand = [], theta.expand_univariate
+
+        def recording(spec, precision, modulus=None):
+            calls.append((spec, precision, modulus))
+            return expand(spec, precision, modulus)
+
+        monkeypatch.setattr(theta, "expand_univariate", recording)
+        return calls
+
+    def test_each_key_is_built_once_at_its_longest_length(self, expanded):
+        w3 = theta.series_spec("w", 3)
+        theta.build_longest([("w", 3, None, 90), ("w", 3, 5, 40), ("w", 3, None, 120)])
+        assert expanded == [(w3, 120, None), (w3, 40, 5)]
+        short = build("w", 50, 3)
+        assert build("w", 7, 3, 5).coeffs == tuple(c % 5 for c in short.coeffs[:7])
+        assert short.coeffs == expand_univariate(w3, 50).coeffs
+        assert len(expanded) == 2
         assert theta._BUILD_CACHE[("w", 3)].precision == 120
         assert theta._BUILD_CACHE[("w", 3, 5)].precision == 40
 
     def test_unplanned_and_longer_requests_build_as_asked(self):
-        with theta.planned([("c", 4, None, 30)]):
-            build("c", 60, 4)
-            build("d", 20)
+        theta.build_longest([("c", 4, None, 30)])
+        build("c", 60, 4)
+        build("d", 20)
         assert theta._BUILD_CACHE[("c", 4)].precision == 60
         assert theta._BUILD_CACHE[("d", None)].precision == 20
-
-    def test_plan_is_cleared_on_exit_and_on_error(self):
-        with theta.planned([("p", None, None, 40)]):
-            assert theta._BUILD_PLAN == {("p", None): 40}
-        assert theta._BUILD_PLAN == {}
-        with pytest.raises(RuntimeError):
-            with theta.planned([("p", None, 7, 40)]):
-                raise RuntimeError
-        assert theta._BUILD_PLAN == {}
-        build("p", 10)
-        assert theta._BUILD_CACHE[("p", None)].precision == 10
 
 
 class TestRequests:

@@ -64,3 +64,26 @@ def test_series_counts_goes_through_the_traced_expansion(monkeypatch):
     combinatorics.series_counts("W2", None, 20)
     assert calls == [(combinatorics.multirank_spec(4), 20, 5),
                      (combinatorics.vector_crank_spec(), 20, None)]
+
+
+def test_the_suite_warm_up_goes_through_the_traced_build(monkeypatch):
+    # the tracer counts theta.build.misses on the module attribute theta.build;
+    # were theta.build_longest to expand through another name, the suite's
+    # misses would vanish from traced runs
+    from qdissect import theta, verification
+
+    calls = []
+    build = theta.build
+
+    def recording(name, precision, param=None, modulus=None):
+        calls.append((name, param, modulus, precision))
+        return build(name, precision, param, modulus)
+
+    monkeypatch.setattr(theta, "_BUILD_CACHE", {})
+    monkeypatch.setattr(theta, "build", recording)
+    theta.build_longest([("w", 3, None, 40), ("d", None, None, 20), ("w", 3, None, 90),
+                         ("w", 3, 5, 30)])
+    assert calls == [("w", 3, None, 90), ("d", None, None, 20), ("w", 3, 5, 30)]
+    calls.clear()
+    verification.run_suite(2000, "mod5-w5")
+    assert calls == [("w", 5, 5, 505), ("w", 5, 5, 504), ("w", 5, 5, 505)]

@@ -1,4 +1,3 @@
-import contextlib
 from collections import Counter
 
 import pytest
@@ -266,22 +265,23 @@ def _longest(builds) -> dict:
     return out
 
 
-class TestSuitePlan:
+class TestSuiteWarmUp:
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
         monkeypatch.setattr(theta, "_BUILD_CACHE", {})
 
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """The plan of each ``theta.planned`` block, and every ``build``
-        call with whether it expanded a series."""
-        log = {"plans": [], "builds": []}
-        planned, build, expand = theta.planned, theta.build, theta.expand_univariate
+        """The builds of each ``theta.build_longest`` warm-up, and every
+        ``build`` call with whether it expanded a series."""
+        log = {"warm": [], "builds": []}
+        build_longest, build, expand = (
+            theta.build_longest, theta.build, theta.expand_univariate)
         expanded = []
 
-        def recording_planned(requests):
-            log["plans"].append(list(requests))
-            return planned(log["plans"][-1])
+        def recording_build_longest(builds):
+            log["warm"].append(list(builds))
+            build_longest(log["warm"][-1])
 
         def recording_build(name, precision, param=None, modulus=None):
             expanded.clear()
@@ -293,7 +293,7 @@ class TestSuitePlan:
             expanded.append(True)
             return expand(*args)
 
-        monkeypatch.setattr(theta, "planned", recording_planned)
+        monkeypatch.setattr(theta, "build_longest", recording_build_longest)
         monkeypatch.setattr(theta, "build", recording_build)
         monkeypatch.setattr(theta, "expand_univariate", recording_expand)
         return log
@@ -303,40 +303,35 @@ class TestSuitePlan:
         return [{k: v for k, v in r.to_dict().items() if k != "millis"} for r in reports]
 
     def test_each_key_misses_once_with_reports_unchanged(self, monkeypatch, recorded):
-        planned = self.strip(run_suite(2000))
-        [plan] = recorded["plans"]
+        warmed = self.strip(run_suite(2000))
+        [warm] = recorded["warm"]
         builds = [call for call, _ in recorded["builds"]]
         misses = Counter(call[:3] for call, miss in recorded["builds"] if miss)
-        assert set(misses.values()) == {1}
-        assert _longest(plan) == _longest(builds)
+        assert len(misses) == 41 and set(misses.values()) == {1}
+        assert _longest(warm) == _longest(builds)
         monkeypatch.setattr(theta, "_BUILD_CACHE", {})
-        monkeypatch.setattr(theta, "planned", lambda requests: contextlib.nullcontext())
-        assert self.strip(run_suite(2000)) == planned
+        monkeypatch.setattr(theta, "build_longest", lambda builds: None)
+        assert self.strip(run_suite(2000)) == warmed
+
+    def test_the_warm_up_fits_in_the_cache(self, recorded):
+        # an eager warm-up past the key cap would evict series before any
+        # check reads them
+        assert "skipped" not in {r.status for r in run_suite(2000)}
+        [warm] = recorded["warm"]
+        assert len(_longest(warm)) <= theta._BUILD_CACHE_KEYS
 
     @pytest.mark.parametrize("precision, name_filter", [
         (300, None), (2000, "mod5-w5"), (2000, "identity-mod3"), (300, "w3")])
-    def test_only_checks_that_run_are_planned(self, recorded, precision, name_filter):
+    def test_only_checks_that_run_are_warmed(self, recorded, precision, name_filter):
         run_suite(precision, name_filter)
-        [plan] = recorded["plans"]
-        assert _longest(plan) == _longest(call for call, _ in recorded["builds"])
+        [warm] = recorded["warm"]
+        assert _longest(warm) == _longest(call for call, _ in recorded["builds"])
         if precision == 300:
-            assert ("w", 3, 27) not in _longest(plan)  # 1944 terms, skipped at 300
+            assert ("w", 3, 27) not in _longest(warm)  # 1944 terms, skipped at 300
 
-    def test_a_filter_plans_only_its_checks(self, recorded):
+    def test_a_filter_warms_only_its_checks(self, recorded):
         run_suite(2000, "mod5-w5")
-        assert _longest(recorded["plans"][0]) == {("w", 5, 5): 505}
-
-    def test_plan_is_empty_after_a_run_or_an_error(self, monkeypatch):
-        run_suite(300, "chl")
-        assert theta._BUILD_PLAN == {}
-
-        def failing(*args, **kwargs):
-            raise RuntimeError("build failed")
-
-        monkeypatch.setattr(theta, "build", failing)
-        with pytest.raises(RuntimeError, match="build failed"):
-            run_suite(2000, "mod5-w5")
-        assert theta._BUILD_PLAN == {}
+        assert _longest(recorded["warm"][0]) == {("w", 5, 5): 505}
 
 
 class TestReportSerialization:
