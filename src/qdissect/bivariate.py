@@ -7,13 +7,13 @@ Residue bucketing replaces root-of-unity specializations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import record
 from .series import QSeries
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BivariateSeries:
     """``rows[n]`` maps z-exponent to the coefficient of z^m q^n.
 
@@ -42,9 +42,6 @@ class BivariateSeries:
                 f"q-degree {n} is outside known precision {len(self.rows)}"
             )
         return dict(self.rows[n])
-
-    def specialize_z_one(self) -> QSeries:
-        return QSeries(tuple(sum(row.values()) for row in self.rows))
 
     def residue_buckets(self, m: int) -> list:
         """m univariate series; bucket k collects z-exponents == k (mod m).

@@ -279,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output(output: Optional[str]):
-    """Reject an output file whose directory is missing, or that is itself a
-    directory, before any work is done; nothing is created or truncated.
-    ``_write`` checks again."""
+    """Reject an empty output path, or one whose directory is missing, or
+    that is itself a directory, before any work is done; nothing is
+    created or truncated.  ``_write`` checks again."""
     if output is None or output == "-":
         return
     directory = os.path.dirname(output) or "."
     reason = (errno.EISDIR if os.path.isdir(output) else
-              errno.ENOENT if not os.path.exists(directory) else
+              errno.ENOENT if not (output and os.path.exists(directory)) else
               errno.ENOTDIR if not os.path.isdir(directory) else None)
     if reason:
         raise ValueError(f"cannot write {output}: {os.strerror(reason)}")

@@ -13,9 +13,9 @@ two functions.  The series layer must reproduce these counts exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from ._record import record
 from .bivariate import BivariateSeries
 from .products import Factor, ProductSpec, expand_bivariate
 
@@ -45,7 +45,7 @@ def _partitions(n: int, top: int, parity: Optional[int], distinct: bool) -> Iter
             yield (part,) + rest
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TaggedOne:
     """One of the two extra copies of the single-part partition 1."""
 
@@ -152,7 +152,7 @@ def _components(family: str, rank_coefficient: int) -> tuple:
                       ("PSTAR", star_weight, lambda obj: 2 * star_crank(obj)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VectorPartition:
     """A 7-component colored partition from V_t or W_2."""
 
@@ -378,15 +378,6 @@ def vector_crank_spec() -> ProductSpec:
         Factor(1, 1, -1, z_exp=-1),
         Factor(1, 1, -1, z_exp=2),
         Factor(1, 1, -1, z_exp=-2),
-    ))
-
-
-def kim_star_spec() -> ProductSpec:
-    """f_1 / ((zq; q)(z^-1 q; q)); the one-component crank carrier on P*."""
-    return ProductSpec((
-        Factor(1, 1, 1),
-        Factor(1, 1, -1, z_exp=1),
-        Factor(1, 1, -1, z_exp=-1),
     ))
 
 

@@ -35,15 +35,15 @@ balanced digits its lanes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._record import record
 from .bivariate import BivariateSeries
 from .series import (QSeries, _unpack, divide_by_eta, pentagonal_sum,
                      pochhammer_series, product)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Factor:
     """One symbol (z^z_exp q^q_offset; q^q_step)_inf raised to exponent."""
 
@@ -61,7 +61,7 @@ class Factor:
             raise ValueError("factor exponent must be nonzero")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProductSpec:
     factors: tuple
     scalar: int = 1

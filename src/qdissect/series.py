@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from ._record import record
 
 
 class NonUnitError(ValueError):
@@ -164,7 +165,7 @@ def _convolve(
     return out if modulus is None else [v % modulus for v in out]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QSeries:
     """Truncated power series; ``coeffs[n]`` is the coefficient of q^n.
 
@@ -176,15 +177,13 @@ class QSeries:
     coeffs: tuple
     modulus: Optional[int] = None
 
-    def __post_init__(self):
-        m = self.modulus
-        if m is None:
-            if not isinstance(self.coeffs, tuple):
-                object.__setattr__(self, "coeffs", tuple(self.coeffs))
-            return
-        if m < 2:
-            raise ValueError(f"series modulus must be >= 2, got {m}")
-        object.__setattr__(self, "coeffs", tuple([c % m for c in self.coeffs]))
+    def __init__(self, coeffs, modulus: Optional[int] = None):
+        if modulus is not None:
+            if modulus < 2:
+                raise ValueError(f"series modulus must be >= 2, got {modulus}")
+            coeffs = tuple([c % modulus for c in coeffs])
+        object.__setattr__(self, "coeffs", coeffs if isinstance(coeffs, tuple) else tuple(coeffs))
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def precision(self) -> int:
@@ -326,7 +325,7 @@ def product(factors, precision: int, modulus: Optional[int] = None) -> QSeries:
     return QSeries.one(precision, modulus) if result is None else result
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SeriesComparison:
     equal: bool
     index: Optional[int] = None

@@ -10,9 +10,9 @@ statements they encode.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ._record import record
 from .products import Factor, ProductSpec, eta_quotient, expand_univariate
 from .series import QSeries, cube_terms, equal_upto, product
 from .series import pentagonal_sum  # noqa: F401 (re-export)
@@ -147,12 +147,12 @@ def psi_sum(precision: int) -> QSeries:
 # expression trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Const:
     value: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ref:
     """A named series (see ``build``)."""
 
@@ -160,30 +160,30 @@ class Ref:
     param: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Quot:
     """A raw Pochhammer product."""
 
     spec: ProductSpec
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sum:
     terms: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mul:
     factors: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scale:
     scalar: int
     inner: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Shift:
     """Multiplication by q^exponent."""
 
@@ -191,7 +191,7 @@ class Shift:
     inner: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sub:
     """Substitution q -> q^exponent applied to the inner expression."""
 
@@ -199,13 +199,13 @@ class Sub:
     inner: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pow:
     inner: object
     exponent: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dissect:
     inner: object
     modulus: int
@@ -275,7 +275,7 @@ def requests(node, precision: int, modulus: Optional[int] = None):
 # identity catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IdentityEntry:
     id: str
     description: str
@@ -285,7 +285,7 @@ class IdentityEntry:
     default_precision: int = 120
 
 
-@dataclass
+@record
 class IdentityReport:
     id: str
     status: str              # "pass" | "fail"

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
 from . import combinatorics as comb
 from . import theta
+from ._record import record
 
 DEFAULT_PRECISION = 2000
 ENUM_CHECK_LIMIT = 10  # q-degrees up to which enumeration cross-checks run
@@ -35,7 +35,7 @@ def _family_name(family: str, t: Optional[int]) -> str:
     return f"V_{t}" if family == "V" else "W2"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CongruenceSpec:
     """source[a*n + b] == 0 (mod modulus) for 0 <= n <= n_max.
 
@@ -65,7 +65,7 @@ class CongruenceSpec:
         return f"{name}({self.step}n+{self.offset}) {rel} for n <= {self.n_max}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EquidistributionSpec:
     """All residue classes of the statistic mod m are equal on a progression."""
 
@@ -95,7 +95,7 @@ class EquidistributionSpec:
         )
 
 
-@dataclass
+@record
 class Report:
     id: str
     kind: str
@@ -126,7 +126,7 @@ class Report:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Check:
     """One suite item as data; ``_run_check`` turns it into a Report."""
 

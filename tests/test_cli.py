@@ -413,7 +413,8 @@ class TestUnwritableOutput:
         ("missing/x", "No such file or directory"),
         ("a-file/x", "Not a directory"),
         ("a-directory", "Is a directory"),
-    ], ids=["missing", "not-a-directory", "a-directory"])
+        ("", "No such file or directory"),
+    ], ids=["missing", "not-a-directory", "a-directory", "empty"])
     def test_rejected_before_the_work(self, capsys, monkeypatch, tmp_path, argv, work,
                                       output, reason):
         def fail(*args, **kwargs):
@@ -422,7 +423,7 @@ class TestUnwritableOutput:
         monkeypatch.setattr(*work, fail)
         (tmp_path / "a-file").write_text("kept\n")
         (tmp_path / "a-directory").mkdir()
-        path = tmp_path / output
+        path = tmp_path / output if output else ""
         code, out, err = run(capsys, *argv, "--output", str(path))
         assert code == 2
         assert out == ""

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from helpers import kim_star_spec
 from qdissect import combinatorics, theta
 from qdissect.combinatorics import (
     ENUMERATION_LIMIT,
@@ -13,7 +14,6 @@ from qdissect.combinatorics import (
     crank,
     enumerate_class,
     enumerate_vectors,
-    kim_star_spec,
     parity_weighted_enumeration,
     partition_counts,
     partition_p,
